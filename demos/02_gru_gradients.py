@@ -1,8 +1,8 @@
-"""A GRU sequence, its backward pass, and a finite-difference audit.
+"""A batch of GRU sequences, its backward pass, and a finite-difference audit.
 
 The recurrent cells carry hand-written gradients. This script runs one
-bidirectional pass, then checks a few analytic gradients against central
-differences. Run me:
+bidirectional pass over two sentences packed into one batch, then checks a
+few analytic gradients against central differences. Run me:
 
     python3 demos/02_gru_gradients.py
 """
@@ -15,16 +15,18 @@ rng = Rng(3)
 fwd_cell = gru_cell("fwd", input_dim=4, hidden=5, rng=rng)
 bwd_cell = gru_cell("bwd", input_dim=4, hidden=5, rng=rng)
 
+# Two sentences of 4 and 2 tokens, their rows back to back.
+lengths = [4, 2]
 xs = np.vstack([rng.gauss() for _ in range(6 * 4)]).reshape(6, 4)
-reps, last_f, last_b, cache = bigru_forward(fwd_cell, bwd_cell, xs)
-print("6 input rows ->", reps.shape, "token representations "
+reps, last_f, last_b, cache = bigru_forward(fwd_cell, bwd_cell, xs, lengths)
+print("6 input rows in sentences of", lengths, "->", reps.shape, "token representations "
       "(forward and backward states side by side)")
-print("sentence summary = [last forward ; last backward], dims",
-      last_f.shape[0], "+", last_b.shape[0])
+print("sentence summaries = [last forward ; last backward], one row per sentence:",
+      last_f.shape, "+", last_b.shape)
 
 def loss() -> float:
     """A scalar to differentiate: sum of squared token representations."""
-    reps, _, _, cache = bigru_forward(fwd_cell, bwd_cell, xs)
+    reps, _, _, cache = bigru_forward(fwd_cell, bwd_cell, xs, lengths)
     bigru_backward(fwd_cell, bwd_cell, cache, 2.0 * reps)
     return float(np.sum(reps * reps))
 

@@ -15,8 +15,8 @@ from .generator import generate_corpus, generate_document
 from .hier_model import DocForward, HierConfig, HierModel, expected_param_count
 from .linalg import ContractError, Rng, ShapeError, glorot_init, logsumexp, matmul, sigmoid
 from .nn import (GradCheckReport, GruCell, ParamTensor, bigru_backward, bigru_forward,
-                 grad_check, gru_cell, gru_sequence, gru_sequence_backward, gru_step,
-                 gru_step_backward, param, softmax, softmax_ce, zero_grads)
+                 grad_check, gru_cell, gru_step, gru_step_backward, param, softmax,
+                 softmax_ce, zero_grads)
 from .train_eval import (Adam, CheckpointError, EvalReport, NumericError, TrainConfig,
                          TrainResult, clip_global, evaluate, load_checkpoint,
                          save_checkpoint, snapshot_params, train)
@@ -33,9 +33,8 @@ __all__ = [
     "build_vocab", "clip_global", "crf_log_partition", "crf_nll_and_grads",
     "crf_params", "crf_score", "encode_corpus", "evaluate", "expected_param_count",
     "generate_corpus", "generate_document", "glorot_init", "gold_spans",
-    "grad_check", "gru_cell", "gru_sequence", "gru_sequence_backward", "gru_step",
-    "gru_step_backward", "load_checkpoint", "load_corpus", "logsumexp", "matmul",
-    "param",
+    "grad_check", "gru_cell", "gru_step", "gru_step_backward", "load_checkpoint",
+    "load_corpus", "logsumexp", "matmul", "param",
     "save_checkpoint", "save_corpus", "sigmoid", "snapshot_params", "softmax",
     "softmax_ce", "span_prf", "split_sentences", "tokenize", "train",
     "viterbi", "zero_grads",

@@ -89,10 +89,28 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
+_CAPTION_WORDS = ("v", "vs")
+
+
+def _after_caption_word(text: str, dot: int) -> bool:
+    """Whether the '.' at text[dot] closes a case-caption "v" or "vs",
+    written as "v." or, in space-joined tokens, as "v .".
+    """
+    end = dot
+    while end > 0 and text[end - 1].isspace():
+        end -= 1
+    start = end
+    while start > 0 and text[start - 1].isalpha():
+        start -= 1
+    return (text[start:end].lower() in _CAPTION_WORDS
+            and (start == 0 or not text[start - 1].isalnum()))
+
+
 def split_sentences(text: str) -> list[str]:
     """Split after '.', '?' or '!' when followed by whitespace and an
     uppercase letter, or by end of text. Delimiters stay with the left
-    sentence, so "No. 5 is cited." stays in one piece.
+    sentence, so "No. 5 is cited." stays in one piece. A '.' after the
+    caption word "v" or "vs" never splits, so "Roe v. Doe" stays whole.
     """
     sents: list[str] = []
     buf: list[str] = []
@@ -101,7 +119,7 @@ def split_sentences(text: str) -> list[str]:
         ch = text[i]
         buf.append(ch)
         i += 1
-        if ch in ".?!":
+        if ch in ".?!" and not (ch == "." and _after_caption_word(text, i - 1)):
             j = i
             while j < n and text[j].isspace():
                 j += 1

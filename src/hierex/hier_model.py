@@ -20,6 +20,7 @@ document size. ``ablate_doc_context`` zeroes c[i] out of the token features
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -89,7 +90,11 @@ def expected_param_count(cfg: HierConfig) -> int:
 
 @dataclass
 class DocForward:
-    """Everything forward_document computes, kept for the backward pass."""
+    """Everything forward_document computes, kept for the backward pass.
+
+    The per-sentence lists are views into whole-document arrays whose rows
+    hold every token of the document in order.
+    """
 
     token_reps: list[Matrix]        # per sentence, len_i x 2H
     sent_vecs: Matrix               # m x 2H
@@ -97,9 +102,9 @@ class DocForward:
     class_logits: Matrix            # m x C
     feats: list[Matrix]             # per sentence, len_i x (2H+2D)
     emissions: list[Matrix]         # per sentence, len_i x K
-    sent_caches: list[BiGruCache] = field(repr=False, default_factory=list)
+    sent_cache: BiGruCache | None = field(repr=False, default=None)
     doc_cache: BiGruCache | None = field(repr=False, default=None)
-    embedded: list[Matrix] = field(repr=False, default_factory=list)
+    feat_rows: Matrix | None = field(repr=False, default=None)  # all tokens' feats
 
 
 class HierModel:
@@ -139,37 +144,32 @@ class HierModel:
     # -- forward ------------------------------------------------------------
 
     def forward_document(self, id_seqs: list[list[int]]) -> DocForward:
+        """Encode every sentence of the document in one packed BiGRU batch,
+        then the sentence vectors with the document BiGRU (a batch of one)."""
         if not id_seqs:
             raise ContractError("forward_document: empty document")
-        h2 = 2 * self.cfg.sent_hidden
-        m = len(id_seqs)
-        embedded, token_reps, sent_caches = [], [], []
-        sent_vecs = np.empty((m, h2))
         for i, ids in enumerate(id_seqs):
             if not ids:
                 raise ContractError(f"forward_document: sentence {i} is empty")
-            xs = embed_forward(ids, self.embedding)
-            u, last_f, last_b, cache = bigru_forward(self.sent_fwd, self.sent_bwd, xs)
-            embedded.append(xs)
-            token_reps.append(u)
-            sent_caches.append(cache)
-            sent_vecs[i, : self.cfg.sent_hidden] = last_f
-            sent_vecs[i, self.cfg.sent_hidden:] = last_b
+        lengths = [len(ids) for ids in id_seqs]
+        splits = list(accumulate(lengths[:-1]))
+        xs = embed_forward([t for ids in id_seqs for t in ids], self.embedding)
+        u, last_f, last_b, sent_cache = bigru_forward(self.sent_fwd, self.sent_bwd, xs, lengths)
+        sent_vecs = np.hstack([last_f, last_b])
 
-        doc_vecs, _, _, doc_cache = bigru_forward(self.doc_fwd, self.doc_bwd, sent_vecs)
+        doc_vecs, _, _, doc_cache = bigru_forward(self.doc_fwd, self.doc_bwd, sent_vecs,
+                                                  [len(id_seqs)])
         class_logits = doc_vecs @ self.cls_w.value.T + self.cls_b.value[:, 0]
 
-        feats, emissions = [], []
-        for i, u in enumerate(token_reps):
-            if self.cfg.ablate_doc_context:
-                ctx = np.zeros((u.shape[0], doc_vecs.shape[1]))
-            else:
-                ctx = np.broadcast_to(doc_vecs[i], (u.shape[0], doc_vecs.shape[1]))
-            f = np.hstack([u, ctx])
-            feats.append(f)
-            emissions.append(f @ self.emit_w.value.T + self.emit_b.value[:, 0])
-        return DocForward(token_reps, sent_vecs, doc_vecs, class_logits, feats,
-                          emissions, sent_caches, doc_cache, embedded)
+        if self.cfg.ablate_doc_context:
+            ctx = np.zeros((u.shape[0], doc_vecs.shape[1]))
+        else:
+            ctx = np.repeat(doc_vecs, lengths, axis=0)
+        feats = np.hstack([u, ctx])
+        emissions = feats @ self.emit_w.value.T + self.emit_b.value[:, 0]
+        return DocForward(np.split(u, splits), sent_vecs, doc_vecs, class_logits,
+                          np.split(feats, splits), np.split(emissions, splits),
+                          sent_cache, doc_cache, feats)
 
     # -- training loss ------------------------------------------------------
 
@@ -219,30 +219,25 @@ class HierModel:
     def _backward(self, id_seqs: list[list[int]], fwd: DocForward,
                   d_emissions: list[Matrix], d_cls_logits: Matrix) -> None:
         h2 = 2 * self.cfg.sent_hidden
-        m = len(id_seqs)
-        d_doc_vecs = np.zeros_like(fwd.doc_vecs)
-        d_token_reps: list[Matrix] = []
-        for i, d_em in enumerate(d_emissions):
-            f = fwd.feats[i]
-            self.emit_w.grad += d_em.T @ f
-            self.emit_b.grad[:, 0] += d_em.sum(axis=0)
-            d_f = d_em @ self.emit_w.value
-            d_token_reps.append(np.ascontiguousarray(d_f[:, :h2]))
-            if not self.cfg.ablate_doc_context:
-                d_doc_vecs[i] += d_f[:, h2:].sum(axis=0)
+        d_em = np.vstack(d_emissions)
+        self.emit_w.grad += d_em.T @ fwd.feat_rows
+        self.emit_b.grad[:, 0] += d_em.sum(axis=0)
+        d_token_reps = d_em @ self.emit_w.value[:, :h2]
 
         self.cls_w.grad += d_cls_logits.T @ fwd.doc_vecs
         self.cls_b.grad[:, 0] += d_cls_logits.sum(axis=0)
-        d_doc_vecs += d_cls_logits @ self.cls_w.value
+        d_doc_vecs = d_cls_logits @ self.cls_w.value
+        if not self.cfg.ablate_doc_context:
+            # Every token of sentence i reads c_i, so c_i gets their summed grads.
+            d_em_sums = np.vstack([d.sum(axis=0) for d in d_emissions])
+            d_doc_vecs += d_em_sums @ self.emit_w.value[:, h2:]
 
         d_sent_vecs = bigru_backward(self.doc_fwd, self.doc_bwd, fwd.doc_cache, d_doc_vecs)
         hdim = self.cfg.sent_hidden
-        for i in range(m):
-            d_xs = bigru_backward(self.sent_fwd, self.sent_bwd, fwd.sent_caches[i],
-                                  d_token_reps[i],
-                                  d_last_fwd=d_sent_vecs[i, :hdim],
-                                  d_last_bwd=d_sent_vecs[i, hdim:])
-            embed_backward(id_seqs[i], d_xs, self.embedding)
+        d_xs = bigru_backward(self.sent_fwd, self.sent_bwd, fwd.sent_cache, d_token_reps,
+                              d_last_fwd=d_sent_vecs[:, :hdim],
+                              d_last_bwd=d_sent_vecs[:, hdim:])
+        embed_backward([t for ids in id_seqs for t in ids], d_xs, self.embedding)
 
     # -- inference ----------------------------------------------------------
 

@@ -69,7 +69,7 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
 
 
 def map_scalar(a: Matrix, kind: str) -> Matrix:

@@ -9,6 +9,7 @@ without zeroing doubles every gradient, and ``zero_grads`` is the only reset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -188,136 +189,190 @@ def gru_step_backward(cell: GruCell, cache: StepCache, dh: np.ndarray) -> tuple[
 
 
 @dataclass
-class SeqCache:
-    """Per-sequence activations for the batched BPTT backward."""
+class Packing:
+    """Time-major layout of a batch of ragged sequences, with no padding.
 
-    xs: Matrix          # len x E
-    h_prev: Matrix      # len x H, h_prev[t] is the state entering step t
-    r: Matrix
-    z: Matrix
-    rh: Matrix
-    hh: Matrix
-
-
-def gru_sequence(cell: GruCell, xs: Matrix) -> tuple[Matrix, SeqCache]:
-    """Run the cell over all rows of xs from a zero initial state.
-
-    The input projections for all steps are hoisted into three matmuls; the
-    recurrent part stays a per-step loop. Returns the stacked hidden states
-    (len x H) and the cache for ``gru_sequence_backward``.
+    The sequences are ordered longest first, ties in input order, so the
+    ones still running at step t are always a prefix of that order: step t
+    owns the packed rows ``offsets[t] : offsets[t] + counts[t]``. Packed row
+    p reads row ``rows[p]`` of the concatenated input, and ``last[i]`` is
+    the packed row of input sequence i's final step.
     """
-    n = xs.shape[0]
+
+    counts: list[int]
+    offsets: list[int]
+    rows: np.ndarray
+    last: np.ndarray
+
+
+def pack(lengths: list[int], reverse: bool = False) -> Packing:
+    """Pack sequences of the given lengths, stored back to back in input
+    order. With ``reverse`` every sequence is read last row first."""
+    if not lengths or min(lengths) < 1:
+        raise ContractError(f"pack: lengths must be a non-empty list of integers >= 1, "
+                            f"got {list(lengths)}")
+    starts = list(accumulate(lengths, initial=0))
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    counts: list[int] = []
+    offsets: list[int] = []
+    rows: list[int] = []
+    for t in range(lengths[order[0]]):
+        offsets.append(len(rows))
+        for i in order:
+            if lengths[i] <= t:
+                break
+            rows.append(starts[i] + lengths[i] - 1 - t if reverse else starts[i] + t)
+        counts.append(len(rows) - offsets[-1])
+    last = [0] * len(lengths)
+    for j, i in enumerate(order):
+        last[i] = offsets[lengths[i] - 1] + j
+    return Packing(counts, offsets, np.array(rows, dtype=np.intp),
+                   np.array(last, dtype=np.intp))
+
+
+@dataclass
+class GruCache:
+    """What one packed GRU pass keeps for its backward pass."""
+
+    packing: Packing
+    xs: Matrix          # the input, not copied: it must not change before backward
+    h_prev: Matrix      # N x H, packed: the state entering each row's step
+    gates: Matrix       # N x 3H, packed: [r ; z ; hh]
+
+
+def _stacked(cell: GruCell) -> tuple[Matrix, np.ndarray, Matrix]:
+    """[W_r;W_z;W_h], [b_r;b_z;b_h] and [U_r;U_z], stacked by gate."""
+    w = np.vstack([cell.w_r.value, cell.w_z.value, cell.w_h.value])
+    b = np.concatenate([cell.b_r.value[:, 0], cell.b_z.value[:, 0], cell.b_h.value[:, 0]])
+    return w, b, np.vstack([cell.u_r.value, cell.u_z.value])
+
+
+def gru_forward(cell: GruCell, xs: Matrix, packing: Packing
+                ) -> tuple[Matrix, Matrix, GruCache]:
+    """Run the cell over every sequence of a packed batch, each from a zero
+    initial state.
+
+    ``xs`` holds the sequences' rows back to back in input order. All input
+    projections are one GEMM before the loop; each step is one GEMM for the
+    r and z gates and one for the candidate, over the rows still running.
+    Returns the hidden states in the row order of xs, each sequence's final
+    state (one row per sequence, in input order), and the cache for
+    ``gru_backward``.
+    """
     hdim = cell.hidden
-    xr = xs @ cell.w_r.value.T + cell.b_r.value[:, 0]
-    xz = xs @ cell.w_z.value.T + cell.b_z.value[:, 0]
-    xh = xs @ cell.w_h.value.T + cell.b_h.value[:, 0]
+    w, b, u_rz = _stacked(cell)
+    u_rzT, u_hT = u_rz.T, cell.u_h.value.T
+    # The input projections; each step overwrites its rows with the gates.
+    gates = xs[packing.rows] @ w.T
+    gates += b
+    hs = np.empty((gates.shape[0], hdim))
+    hp = np.empty_like(hs)
 
-    hs = np.empty((n, hdim))
-    hp = np.empty((n, hdim))
-    rs = np.empty((n, hdim))
-    zs = np.empty((n, hdim))
-    rhs = np.empty((n, hdim))
-    hhs = np.empty((n, hdim))
+    h = np.zeros((packing.counts[0], hdim))
+    for n, s in zip(packing.counts, packing.offsets):
+        h_prev = hp[s: s + n]
+        h_prev[...] = h[:n]
+        g = gates[s: s + n]
+        rz = g[:, : 2 * hdim]
+        rz[...] = sigmoid(rz + h_prev @ u_rzT)
+        hh = g[:, 2 * hdim:]
+        hh += (rz[:, :hdim] * h_prev) @ u_hT
+        np.tanh(hh, out=hh)
+        z = rz[:, hdim:]
+        h = hs[s: s + n]
+        h[...] = (1.0 - z) * h_prev + z * hh
 
-    u_r, u_z, u_h = cell.u_r.value, cell.u_z.value, cell.u_h.value
-    h = np.zeros(hdim)
-    for t in range(n):
-        r = sigmoid(xr[t] + u_r @ h)
-        z = sigmoid(xz[t] + u_z @ h)
-        rh = r * h
-        hh = np.tanh(xh[t] + u_h @ rh)
-        hp[t] = h
-        rs[t] = r
-        zs[t] = z
-        rhs[t] = rh
-        hhs[t] = hh
-        h = (1.0 - z) * h + z * hh
-        hs[t] = h
-    return hs, SeqCache(xs, hp, rs, zs, rhs, hhs)
+    out = np.empty_like(hs)
+    out[packing.rows] = hs
+    return out, hs[packing.last], GruCache(packing, xs, hp, gates)
 
 
-def gru_sequence_backward(cell: GruCell, cache: SeqCache, d_hs: Matrix,
-                          d_last: np.ndarray | None = None) -> Matrix:
-    """Full BPTT over a cached sequence.
+def gru_backward(cell: GruCell, cache: GruCache, d_hs: Matrix,
+                 d_last: Matrix | None = None) -> Matrix:
+    """Full BPTT over a packed batch.
 
-    d_hs holds the per-step upstream gradients; d_last is an extra gradient
-    on the final state (e.g. from a sentence vector consumer). Accumulates
-    all cell grads and returns d_xs.
+    ``d_hs`` holds the upstream gradient of every hidden state returned by
+    ``gru_forward``, in the same row order; ``d_last`` is an extra gradient
+    on each sequence's final state. Accumulates all cell grads and returns
+    d_xs in the row order of the forward input.
     """
-    n = d_hs.shape[0]
-    # Per-step activation derivatives, vectorized outside the loop.
-    sdr = cache.r * (1.0 - cache.r)
-    sdz = cache.z * (1.0 - cache.z)
-    tdh = 1.0 - cache.hh * cache.hh
+    hdim = cell.hidden
+    packing = cache.packing
+    w, _, u_rz = _stacked(cell)
+    u_h = cell.u_h.value
+    dp = d_hs[packing.rows]
+    if d_last is not None:
+        dp[packing.last] += d_last
+    da = np.empty((dp.shape[0], 3 * hdim))  # packed [da_r ; da_z ; da_h]
 
-    da_r = np.empty_like(d_hs)
-    da_z = np.empty_like(d_hs)
-    da_h = np.empty_like(d_hs)
+    dh = np.zeros((0, hdim))
+    for n, s in zip(reversed(packing.counts), reversed(packing.offsets)):
+        dht = dp[s: s + n]
+        dht[: dh.shape[0]] += dh
+        h_prev = cache.h_prev[s: s + n]
+        g = cache.gates[s: s + n]
+        r, z, hh = g[:, :hdim], g[:, hdim: 2 * hdim], g[:, 2 * hdim:]
+        a = da[s: s + n]
+        a[:, 2 * hdim:] = dht * z * (1.0 - hh * hh)
+        d_rh = a[:, 2 * hdim:] @ u_h
+        a[:, :hdim] = d_rh * h_prev * (r * (1.0 - r))
+        a[:, hdim: 2 * hdim] = dht * (hh - h_prev) * (z * (1.0 - z))
+        dh = dht * (1.0 - z) + d_rh * r + a[:, : 2 * hdim] @ u_rz
 
-    u_rT, u_zT, u_hT = cell.u_r.value.T, cell.u_z.value.T, cell.u_h.value.T
-    dh = np.zeros(cell.hidden) if d_last is None else d_last.copy()
-    for t in range(n - 1, -1, -1):
-        dht = d_hs[t] + dh
-        dz = dht * (cache.hh[t] - cache.h_prev[t])
-        dah = dht * cache.z[t] * tdh[t]
-        da_h[t] = dah
-        d_rh = u_hT @ dah
-        daz = dz * sdz[t]
-        dar = d_rh * cache.h_prev[t] * sdr[t]
-        da_z[t] = daz
-        da_r[t] = dar
-        dh = dht * (1.0 - cache.z[t]) + d_rh * cache.r[t] + u_zT @ daz + u_rT @ dar
+    d_w = da.T @ cache.xs[packing.rows]
+    d_b = da.sum(axis=0)
+    for g, (w_g, b_g) in enumerate([(cell.w_r, cell.b_r), (cell.w_z, cell.b_z),
+                                    (cell.w_h, cell.b_h)]):
+        w_g.grad += d_w[g * hdim: (g + 1) * hdim]
+        b_g.grad[:, 0] += d_b[g * hdim: (g + 1) * hdim]
+    d_u_rz = da[:, : 2 * hdim].T @ cache.h_prev
+    cell.u_r.grad += d_u_rz[:hdim]
+    cell.u_z.grad += d_u_rz[hdim:]
+    cell.u_h.grad += da[:, 2 * hdim:].T @ (cache.gates[:, :hdim] * cache.h_prev)  # rh
 
-    cell.w_r.grad += da_r.T @ cache.xs
-    cell.w_z.grad += da_z.T @ cache.xs
-    cell.w_h.grad += da_h.T @ cache.xs
-    cell.u_r.grad += da_r.T @ cache.h_prev
-    cell.u_z.grad += da_z.T @ cache.h_prev
-    cell.u_h.grad += da_h.T @ cache.rh
-    cell.b_r.grad[:, 0] += da_r.sum(axis=0)
-    cell.b_z.grad[:, 0] += da_z.sum(axis=0)
-    cell.b_h.grad[:, 0] += da_h.sum(axis=0)
-    return da_r @ cell.w_r.value + da_z @ cell.w_z.value + da_h @ cell.w_h.value
+    out = np.empty_like(cache.xs)
+    out[packing.rows] = da @ w
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Bidirectional GRU over one sequence
+# Bidirectional GRU over a batch of sequences
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BiGruCache:
-    fwd: SeqCache
-    bwd: SeqCache  # over the reversed input
+    fwd: GruCache
+    bwd: GruCache  # over each sequence read back to front
 
 
-def bigru_forward(fwd: GruCell, bwd: GruCell, xs: Matrix
-                  ) -> tuple[Matrix, np.ndarray, np.ndarray, BiGruCache]:
-    """Encode a sequence in both directions from zero initial states.
+def bigru_forward(fwd: GruCell, bwd: GruCell, xs: Matrix, lengths: list[int]
+                  ) -> tuple[Matrix, Matrix, Matrix, BiGruCache]:
+    """Encode a batch of sequences in both directions from zero states.
 
-    Returns (token_reps, last_fwd, last_bwd, cache) where row t of
-    token_reps is [h_fwd_t ; h_bwd_t], last_fwd is the forward state after
-    the final step and last_bwd is the backward pass's state after reading
-    position 0.
+    ``xs`` holds the sequences back to back, ``lengths[i]`` rows for
+    sequence i. Returns (token_reps, last_fwd, last_bwd, cache) where row t
+    of token_reps is [h_fwd_t ; h_bwd_t], row i of last_fwd is the forward
+    state after sequence i's final row and row i of last_bwd is the
+    backward state after reading its first row.
     """
     if xs.shape[0] < 1:
         raise ContractError("bigru_forward: empty sequence")
-    hs_f, cache_f = gru_sequence(fwd, xs)
-    hs_b_rev, cache_b = gru_sequence(bwd, xs[::-1].copy())
-    hs_b = hs_b_rev[::-1]
-    token_reps = np.hstack([hs_f, hs_b])
-    return token_reps, hs_f[-1].copy(), hs_b[0].copy(), BiGruCache(cache_f, cache_b)
+    if sum(lengths) != xs.shape[0]:
+        raise ContractError(f"bigru_forward: lengths sum to {sum(lengths)}, "
+                            f"xs has {xs.shape[0]} rows")
+    hs_f, last_f, cache_f = gru_forward(fwd, xs, pack(lengths))
+    hs_b, last_b, cache_b = gru_forward(bwd, xs, pack(lengths, reverse=True))
+    return np.hstack([hs_f, hs_b]), last_f, last_b, BiGruCache(cache_f, cache_b)
 
 
 def bigru_backward(fwd: GruCell, bwd: GruCell, cache: BiGruCache, d_token_reps: Matrix,
-                   d_last_fwd: np.ndarray | None = None,
-                   d_last_bwd: np.ndarray | None = None) -> Matrix:
+                   d_last_fwd: Matrix | None = None,
+                   d_last_bwd: Matrix | None = None) -> Matrix:
     """Backward through both directions; returns d_xs."""
     hdim = fwd.hidden
-    d_hs_f = np.ascontiguousarray(d_token_reps[:, :hdim])
-    d_hs_b_rev = np.ascontiguousarray(d_token_reps[::-1, hdim:])
-    d_xs_f = gru_sequence_backward(fwd, cache.fwd, d_hs_f, d_last_fwd)
-    d_xs_b_rev = gru_sequence_backward(bwd, cache.bwd, d_hs_b_rev, d_last_bwd)
-    return d_xs_f + d_xs_b_rev[::-1]
+    d_xs = gru_backward(fwd, cache.fwd, d_token_reps[:, :hdim], d_last_fwd)
+    d_xs += gru_backward(bwd, cache.bwd, d_token_reps[:, hdim:], d_last_bwd)
+    return d_xs
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,8 @@ def save_checkpoint(path: str, model: HierModel, vocab: Vocab,
 def load_checkpoint(path: str) -> tuple[HierModel, Vocab, list[str], list[str]]:
     """Inverse of save_checkpoint; bit-exact. Raises CheckpointError naming
     what is wrong (bad magic, version, truncation, trailing bytes, missing
-    or misshapen tensors).
+    or misshapen tensors, or a vocab, tag map or class map whose length
+    disagrees with the config).
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -340,6 +341,13 @@ def load_checkpoint(path: str) -> tuple[HierModel, Vocab, list[str], list[str]]:
     except TypeError as e:
         raise CheckpointError(f"bad checkpoint config: {e}") from None
     model = HierModel(cfg, rng=None)
+    for key, size_field in (("vocab", "vocab_size"), ("tag_map", "tag_count"),
+                            ("class_map", "class_count")):
+        entries, size = meta[key], getattr(cfg, size_field)
+        if not isinstance(entries, list) or len(entries) != size:
+            found = f"{len(entries)} entries" if isinstance(entries, list) else "no list"
+            raise CheckpointError(f"checkpoint {key} has {found}, "
+                                  f"config {size_field} is {size}")
 
     (tensor_count,) = struct.unpack("<I", take(4, "tensor count"))
     tensors: dict[str, np.ndarray] = {}

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import struct
 
 import pytest
 
@@ -287,6 +288,33 @@ class TestExtract:
         assert main(["extract", "--model", arts["model"], "--input", str(empty),
                      "--out", str(tmp_path / "o2.jsonl")]) == 4
         capsys.readouterr()
+
+    @staticmethod
+    def _mutated_model(tmp_path, arts, key, fn):
+        """A copy of the module's model whose metadata entry `key` is fn(entry)."""
+        data = open(arts["model"], "rb").read()
+        version, meta_len = struct.unpack("<II", data[4:12])
+        meta = json.loads(data[12: 12 + meta_len])
+        meta[key] = fn(meta[key])
+        blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path = tmp_path / f"bad-{key}.bin"
+        path.write_bytes(data[:4] + struct.pack("<II", version, len(blob)) + blob
+                         + data[12 + meta_len:])
+        return str(path)
+
+    @pytest.mark.parametrize("key,fn", [
+        ("tag_map", lambda tags: tags[:3]),
+        ("vocab", lambda words: words + [f"extra{i}" for i in range(5)]),
+    ])
+    def test_inconsistent_checkpoint_fails_before_first_record(self, tmp_path, capsys,
+                                                                 arts, key, fn):
+        model = self._mutated_model(tmp_path, arts, key, fn)
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n".join(self._raw_lines()) + "\n")
+        assert main(["extract", "--model", model, "--input", str(src)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"checkpoint {key} has" in err
 
     def test_pretokenized_records(self, tmp_path, arts):
         src = tmp_path / "tok.jsonl"

@@ -10,6 +10,7 @@ from hierex.data import (CLASS_NAMES, ENTITY_TYPES, Document, ParseError, Senten
                          build_class_map, build_tag_map, build_vocab, encode_corpus,
                          gold_spans, load_corpus, save_corpus, span_prf,
                          split_sentences, tokenize)
+from hierex.generator import generate_corpus
 from hierex.linalg import ContractError
 
 
@@ -63,6 +64,20 @@ class TestSplitSentences:
     def test_lowercase_continuation(self):
         assert split_sentences("v. smith continued. The end.") == \
             ["v. smith continued.", "The end."]
+
+    def test_caption_stays_whole(self):
+        caption = "Jane Roe v. John Doe, Superior Court of Hartley County, No. 40-656."
+        assert split_sentences(caption) == [caption]
+        assert split_sentences("Roe vs. Doe filed. The end.") == \
+            ["Roe vs. Doe filed.", "The end."]
+
+    def test_generated_documents_never_split_after_caption_word(self):
+        # Seed-42 documents, tokens joined by spaces, re-split into exactly
+        # their gold sentences: never after "v ." or "vs .".
+        for doc in generate_corpus(300, 42):
+            pieces = split_sentences(" ".join(t for s in doc.sentences for t in s.tokens))
+            assert not any(p.split()[-2:] in (["v", "."], ["vs", "."]) for p in pieces)
+            assert pieces == [" ".join(s.tokens) for s in doc.sentences]
 
 
 class TestBioCodec:

@@ -222,6 +222,21 @@ class TestPredict:
         assert a[0] == b[0] and a[1] == b[1]
         assert np.array_equal(a[2], b[2])
 
+    def test_independent_of_earlier_documents(self):
+        # Sentences are batched within one document only, so no earlier
+        # document can change a later one's bytes.
+        model = toy_model(seed=9)
+        doc = [[1, 2, 3], [4], [5, 6, 7]]
+        fresh = model.predict_document(doc)
+        fresh_em = model.forward_document(doc).emissions
+        for other in ([[8, 9]], [[1] * 7, [2, 3], [4]], [[5]]):
+            model.predict_document(other)
+            again = model.predict_document(doc)
+            assert again[0] == fresh[0] and again[1] == fresh[1]
+            assert again[2].tobytes() == fresh[2].tobytes()
+            em = model.forward_document(doc).emissions
+            assert [e.tobytes() for e in em] == [e.tobytes() for e in fresh_em]
+
     def test_paths_align_and_probs_normalize(self):
         model = toy_model(seed=9)
         ids = [[1, 2, 3], [4, 5]]

@@ -8,8 +8,8 @@ import pytest
 from hierex.linalg import ContractError, Rng, ShapeError, glorot_init
 from hierex.nn import (ParamTensor, bigru_forward, bigru_backward, dense_backward,
                        dense_forward, embed_backward, embed_forward, grad_check,
-                       gru_cell, gru_sequence, gru_sequence_backward, gru_step,
-                       gru_step_backward, param, softmax, softmax_ce, zero_grads)
+                       gru_backward, gru_cell, gru_forward, gru_step, gru_step_backward,
+                       pack, param, softmax, softmax_ce, zero_grads)
 
 
 def central_diff(loss_fn, flat_value, index, eps):
@@ -161,23 +161,76 @@ class TestGruStep:
             assert rel_err(float(dh_prev[c]), central_diff(loss_fn, h_prev, c, 1e-5)) < 1e-6
 
 
+def stepwise(cell, xs, lengths, reverse=False):
+    """Per-sequence gru_step oracle: hidden states in the row order of xs."""
+    out = np.empty((xs.shape[0], cell.hidden))
+    start = 0
+    for n in lengths:
+        h = np.zeros(cell.hidden)
+        rows = range(start + n - 1, start - 1, -1) if reverse else range(start, start + n)
+        for t in rows:
+            h, _ = gru_step(cell, xs[t], h)
+            out[t] = h
+        start += n
+    return out
+
+
+# Ragged batches: 1-token sequences, equal lengths, and a batch of one.
+RAGGED = [[5, 1, 3, 5, 2], [1], [4, 4, 4], [7], [1, 1], [2, 9, 1, 6]]
+
+
+class TestPack:
+    def test_longest_first_layout(self):
+        p = pack([2, 3, 1])
+        assert p.counts == [3, 2, 1]
+        assert p.offsets == [0, 3, 5]
+        # step 0 reads sequences 1, 0, 2 at their first rows, and so on
+        assert p.rows.tolist() == [2, 0, 5, 3, 1, 4]
+        assert p.last.tolist() == [4, 5, 2]  # the final steps of 0, 1 and 2
+
+    def test_ties_keep_input_order(self):
+        assert pack([2, 2]).rows.tolist() == [0, 2, 1, 3]
+
+    def test_reverse_reads_each_sequence_back_to_front(self):
+        p = pack([2, 3, 1], reverse=True)
+        assert p.counts == [3, 2, 1]
+        assert p.rows.tolist() == [4, 1, 5, 3, 0, 2]
+        assert p.rows[p.last].tolist() == [0, 2, 5]  # each sequence's first row
+
+    def test_every_row_packed_once(self):
+        for lengths in RAGGED:
+            for reverse in (False, True):
+                p = pack(lengths, reverse)
+                assert sorted(p.rows.tolist()) == list(range(sum(lengths)))
+                assert sum(p.counts) == sum(lengths)
+
+    @pytest.mark.parametrize("lengths", [[], [3, 0], [-1]])
+    def test_bad_lengths_rejected(self, lengths):
+        with pytest.raises(ContractError):
+            pack(lengths)
+
+
 class TestGruSequence:
     @pytest.mark.parametrize("seed", range(10))
     def test_bptt_matches_finite_differences(self, seed):
+        # A ragged batch, read forward on even seeds and reversed on odd
+        # ones, with an extra gradient on every sequence's final state.
         rng = Rng(seed)
         cell = gru_cell("g", 2, 3, rng)
-        n = 4
+        lengths = [1 + rng.below(4) for _ in range(3)]
+        n = sum(lengths)
+        packing = pack(lengths, reverse=seed % 2 == 1)
         xs = glorot_init(n, 2, rng)
         proj = glorot_init(n, 3, rng)
-        final = glorot_init(1, 3, rng)[0]
+        final = glorot_init(len(lengths), 3, rng)
 
         def loss_fn():
-            hs, _ = gru_sequence(cell, xs)
-            return float(np.sum(hs * proj) + np.dot(hs[-1], final))
+            hs, last, _ = gru_forward(cell, xs, packing)
+            return float(np.sum(hs * proj) + np.sum(last * final))
 
         zero_grads(cell.params())
-        hs, cache = gru_sequence(cell, xs)
-        d_xs = gru_sequence_backward(cell, cache, proj, d_last=final)
+        _, _, cache = gru_forward(cell, xs, packing)
+        d_xs = gru_backward(cell, cache, proj, d_last=final)
         for t in cell.params():
             flat = t.value.reshape(-1)
             aflat = t.grad.reshape(-1)
@@ -192,24 +245,27 @@ class TestGruSequence:
 
     def test_sequence_matches_stepwise(self):
         rng = Rng(12)
-        cell = gru_cell("g", 2, 3, rng)
-        xs = glorot_init(5, 2, rng)
-        hs, _ = gru_sequence(cell, xs)
-        h = np.zeros(3)
-        for t in range(5):
-            h, _ = gru_step(cell, xs[t], h)
-            assert np.allclose(hs[t], h, atol=1e-15)
+        cell = gru_cell("g", 4, 5, rng)
+        for lengths in RAGGED:
+            xs = glorot_init(sum(lengths), 4, rng)
+            ends = np.cumsum(lengths) - 1
+            for reverse, lasts in ((False, ends), (True, ends - np.asarray(lengths) + 1)):
+                hs, last, _ = gru_forward(cell, xs, pack(lengths, reverse))
+                oracle = stepwise(cell, xs, lengths, reverse)
+                assert np.max(np.abs(hs - oracle)) < 1e-12
+                assert np.array_equal(last, hs[lasts])
 
     def test_backward_twice_doubles_grads(self):
         rng = Rng(3)
         cell = gru_cell("g", 2, 3, rng)
-        xs = glorot_init(4, 2, rng)
-        d_hs = glorot_init(4, 3, rng)
+        lengths = [3, 1, 4]
+        xs = glorot_init(8, 2, rng)
+        d_hs = glorot_init(8, 3, rng)
         zero_grads(cell.params())
-        _, cache = gru_sequence(cell, xs)
-        gru_sequence_backward(cell, cache, d_hs)
+        _, _, cache = gru_forward(cell, xs, pack(lengths))
+        gru_backward(cell, cache, d_hs)
         once = [t.grad.copy() for t in cell.params()]
-        gru_sequence_backward(cell, cache, d_hs)
+        gru_backward(cell, cache, d_hs)
         for t, g in zip(cell.params(), once):
             assert np.array_equal(t.grad, 2.0 * g)
 
@@ -226,26 +282,32 @@ class TestBiGru:
         rng = Rng(8)
         fwd, bwd = gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng)
         xs = glorot_init(1, 2, rng)
-        reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs)
-        assert np.array_equal(reps[0], np.concatenate([last_f, last_b]))
+        reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs, [1])
+        assert np.array_equal(reps[0], np.concatenate([last_f[0], last_b[0]]))
 
     def test_zero_cells_zero_reps(self):
         fwd, bwd = gru_cell("f", 2, 3, None), gru_cell("b", 2, 3, None)
-        reps, last_f, last_b, _ = bigru_forward(fwd, bwd, np.ones((4, 2)))
+        reps, last_f, last_b, _ = bigru_forward(fwd, bwd, np.ones((4, 2)), [3, 1])
         assert np.all(reps == 0.0) and np.all(last_f == 0.0) and np.all(last_b == 0.0)
 
     def test_empty_sequence_rejected(self):
         rng = Rng(0)
         with pytest.raises(ContractError):
             bigru_forward(gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng),
-                          np.zeros((0, 2)))
+                          np.zeros((0, 2)), [0])
+
+    def test_lengths_must_cover_rows(self):
+        rng = Rng(0)
+        with pytest.raises(ContractError, match="lengths"):
+            bigru_forward(gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng),
+                          np.zeros((4, 2)), [2, 1])
 
     def test_palindrome_symmetry_with_tied_cells(self):
         rng = Rng(21)
         cell = gru_cell("f", 2, 3, rng)
         half = glorot_init(3, 2, rng)
         xs = np.vstack([half, half[::-1]])  # palindromic length 6
-        reps, _, _, _ = bigru_forward(cell, cell, xs)
+        reps, _, _, _ = bigru_forward(cell, cell, xs, [6])
         n, h = xs.shape[0], 3
         for t in range(n):
             assert np.array_equal(reps[t, :h], reps[n - 1 - t, h:])
@@ -255,26 +317,42 @@ class TestBiGru:
         fwd, bwd = gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng)
         xs1 = glorot_init(4, 2, rng)
         xs2 = glorot_init(6, 2, rng)
-        reps_a, *_ = bigru_forward(fwd, bwd, xs1)
-        bigru_forward(fwd, bwd, xs2)
-        reps_b, *_ = bigru_forward(fwd, bwd, xs1)
+        reps_a, *_ = bigru_forward(fwd, bwd, xs1, [4])
+        bigru_forward(fwd, bwd, xs2, [6])
+        reps_b, *_ = bigru_forward(fwd, bwd, xs1, [4])
         assert np.array_equal(reps_a, reps_b)
+        # In one batch with xs2, xs1's rows match its own run to rounding.
+        reps_c, *_ = bigru_forward(fwd, bwd, np.vstack([xs2, xs1]), [6, 4])
+        assert np.max(np.abs(reps_c[6:] - reps_a)) < 1e-12
+
+    def test_batch_matches_stepwise(self):
+        rng = Rng(40)
+        fwd, bwd = gru_cell("f", 3, 4, rng), gru_cell("b", 3, 4, rng)
+        for lengths in RAGGED:
+            xs = glorot_init(sum(lengths), 3, rng)
+            reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs, lengths)
+            h_f, h_b = stepwise(fwd, xs, lengths), stepwise(bwd, xs, lengths, reverse=True)
+            assert np.max(np.abs(reps - np.hstack([h_f, h_b]))) < 1e-12
+            ends = np.cumsum(lengths) - 1
+            assert np.array_equal(last_f, reps[ends, :4])
+            assert np.array_equal(last_b, reps[ends - np.asarray(lengths) + 1, 4:])
 
     def test_gradients_match_finite_differences(self):
         rng = Rng(14)
         fwd, bwd = gru_cell("f", 2, 2, rng), gru_cell("b", 2, 2, rng)
-        xs = glorot_init(3, 2, rng)
-        proj = glorot_init(3, 4, rng)
-        pf = glorot_init(1, 2, rng)[0]
-        pb = glorot_init(1, 2, rng)[0]
+        lengths = [3, 1, 2]
+        xs = glorot_init(6, 2, rng)
+        proj = glorot_init(6, 4, rng)
+        pf = glorot_init(3, 2, rng)
+        pb = glorot_init(3, 2, rng)
 
         def loss_fn():
-            reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs)
-            return float(np.sum(reps * proj) + np.dot(last_f, pf) + np.dot(last_b, pb))
+            reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs, lengths)
+            return float(np.sum(reps * proj) + np.sum(last_f * pf) + np.sum(last_b * pb))
 
         params = fwd.params() + bwd.params()
         zero_grads(params)
-        _, _, _, cache = bigru_forward(fwd, bwd, xs)
+        _, _, _, cache = bigru_forward(fwd, bwd, xs, lengths)
         d_xs = bigru_backward(fwd, bwd, cache, proj, d_last_fwd=pf, d_last_bwd=pb)
         for t in params:
             flat = t.value.reshape(-1)
@@ -286,6 +364,24 @@ class TestBiGru:
         for c in range(flat_xs.size):
             numeric = central_diff(loss_fn, flat_xs, c, 1e-5)
             assert rel_err(float(d_xs.reshape(-1)[c]), numeric) < 1e-4
+
+    @pytest.mark.parametrize("lengths", RAGGED)
+    def test_grad_check_with_d_last_on_every_row(self, lengths):
+        rng = Rng(sum(lengths))
+        fwd, bwd = gru_cell("f", 3, 4, rng), gru_cell("b", 3, 4, rng)
+        xs = glorot_init(sum(lengths), 3, rng)
+        proj = glorot_init(sum(lengths), 8, rng)
+        pf = glorot_init(len(lengths), 4, rng)
+        pb = glorot_init(len(lengths), 4, rng)
+
+        def loss_fn():
+            reps, last_f, last_b, cache = bigru_forward(fwd, bwd, xs, lengths)
+            bigru_backward(fwd, bwd, cache, proj, d_last_fwd=pf, d_last_bwd=pb)
+            return float(np.sum(reps * proj) + np.sum(last_f * pf) + np.sum(last_b * pb))
+
+        report = grad_check(loss_fn, fwd.params() + bwd.params(), eps=1e-5, sample=12,
+                            rng=Rng(1))
+        assert report.passed(1e-4), report.max_rel
 
 
 class TestSoftmaxCe:

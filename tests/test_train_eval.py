@@ -391,3 +391,16 @@ class TestCheckpoint:
         self._mutate_meta(path, bad, lambda m: m.pop("tag_map"))
         with pytest.raises(CheckpointError, match="tag_map"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("key,size_field,cut", [
+        ("tag_map", "tag_count", lambda m: m["tag_map"][:3]),
+        ("class_map", "class_count", lambda m: m["class_map"][:-1]),
+        ("vocab", "vocab_size", lambda m: m["vocab"] + [f"extra{i}" for i in range(5)]),
+        ("vocab", "vocab_size", lambda m: "not a list"),
+    ])
+    def test_inventory_length_mismatch_detected(self, tmp_path, key, size_field, cut):
+        _, _, _, _, _, path = self._saved(tmp_path)
+        bad = str(tmp_path / "mismatch.bin")
+        self._mutate_meta(path, bad, lambda m: m.__setitem__(key, cut(m)))
+        with pytest.raises(CheckpointError, match=f"checkpoint {key} has .*{size_field}"):
+            load_checkpoint(bad)
