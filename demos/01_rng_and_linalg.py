@@ -8,7 +8,7 @@ so the same seed always yields the same stream, on any platform. Run me:
 
 import numpy as np
 
-from hierex import Rng, glorot_init, logsumexp, matmul, sigmoid
+from hierex import Rng, glorot_init, logsumexp, sigmoid
 
 print("== seeded streams ==")
 a, b = Rng(42), Rng(42)
@@ -39,4 +39,4 @@ print("logsumexp([1000, 1000+ln2]) - 1000 =", logsumexp(v) - 1000.0, "(exact ln 
 
 x = np.array([[1.0, 2.0], [3.0, 4.0]])
 y = np.array([[5.0, 6.0], [7.0, 8.0]])
-print("matmul sanity:", matmul(x, y).tolist())
+print("matmul sanity:", (x @ y).tolist())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,7 +57,7 @@ _HIER_KEYS = {"embed_dim": int, "sent_hidden": int, "doc_hidden": int,
               "tagger_mode": str, "lambda_sent": float, "ablate_doc_context": bool}
 _TRAIN_KEYS = {"lr": float, "beta1": float, "beta2": float, "adam_eps": float,
                "clip_norm": float, "batch_docs": int, "max_epochs": int,
-               "patience": int, "seed": int, "lambda_sent": float, "tagger_mode": str}
+               "patience": int, "seed": int}
 _ALL_KEYS = {**_TRAIN_KEYS, **_HIER_KEYS}
 
 
@@ -122,11 +123,8 @@ def _split_configs(overrides: dict) -> tuple[TrainConfig, dict]:
     for key, value in overrides.items():
         if key in _TRAIN_KEYS:
             setattr(tcfg, key, value)
-        if key in _HIER_KEYS:
+        else:
             hier_kwargs[key] = value
-    # Shared knobs ride on TrainConfig and mirror into the model config.
-    hier_kwargs.setdefault("tagger_mode", tcfg.tagger_mode)
-    hier_kwargs.setdefault("lambda_sent", tcfg.lambda_sent)
     tcfg.validate()
     return tcfg, hier_kwargs
 
@@ -305,6 +303,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.sample < 1:
+        raise _UsageError(f"--sample must be >= 1, got {args.sample}")
+    if not (math.isfinite(args.eps) and args.eps > 0.0):
+        raise _UsageError(f"--eps must be finite and > 0, got {args.eps!r}")
     rng = Rng(args.seed)
     dims = GRADCHECK_DIMS
     id_seqs, gold_tags, gold_classes = [], [], []
@@ -375,8 +377,9 @@ def build_parser() -> _Parser:
     c = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     c.add_argument("--seed", type=int, default=11)
     c.add_argument("--eps", type=float, default=1e-5)
-    c.add_argument("--sample", type=int, default=25,
-                   help="coordinates checked per tensor")
+    c.add_argument("--sample", type=int, default=54,
+                   help="coordinates checked per tensor (default 54: every "
+                        "coordinate of each GRU tensor)")
     c.set_defaults(func=cmd_gradcheck)
     return p
 

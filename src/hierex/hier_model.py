@@ -188,28 +188,21 @@ class HierModel:
         total_tokens = sum(len(ids) for ids in id_seqs)
         inv_tok = 1.0 / total_tokens
 
-        tag_nll = 0.0
-        d_emissions: list[Matrix] = []
-        for i, em in enumerate(fwd.emissions):
-            if self.crf is not None:
-                nll, d_em = crf_mod.crf_nll_and_grads(em, gold_tags[i], self.crf, scale=inv_tok)
+        if self.crf is not None:
+            tag_nll = 0.0
+            d_emissions: list[Matrix] = []
+            for em, tags in zip(fwd.emissions, gold_tags):
+                nll, d_em = crf_mod.crf_nll_and_grads(em, tags, self.crf, scale=inv_tok)
                 tag_nll += nll
-            else:
-                d_em = np.empty_like(em)
-                for t in range(em.shape[0]):
-                    ce, dl = softmax_ce(em[t], gold_tags[i][t])
-                    tag_nll += ce
-                    d_em[t] = dl
-                d_em *= inv_tok
-            d_emissions.append(d_em)
+                d_emissions.append(d_em)
+        else:
+            tag_nll, d_em = softmax_ce(np.vstack(fwd.emissions),
+                                       [t for tags in gold_tags for t in tags])
+            d_em *= inv_tok
+            d_emissions = np.split(d_em, list(accumulate(len(ids) for ids in id_seqs[:-1])))
         tag_loss = tag_nll * inv_tok
 
-        class_loss = 0.0
-        d_cls_logits = np.empty_like(fwd.class_logits)
-        for i in range(m):
-            ce, dl = softmax_ce(fwd.class_logits[i], gold_classes[i])
-            class_loss += ce
-            d_cls_logits[i] = dl
+        class_loss, d_cls_logits = softmax_ce(fwd.class_logits, gold_classes)
         class_loss /= m
         d_cls_logits *= self.cfg.lambda_sent / m
 
@@ -257,5 +250,4 @@ class HierModel:
                 path = [int(t) for t in np.argmax(em, axis=1)]
             tag_ids.append(path)
         class_ids = [int(i) for i in np.argmax(fwd.class_logits, axis=1)]
-        class_probs = np.vstack([softmax(row) for row in fwd.class_logits])
-        return tag_ids, class_ids, class_probs
+        return tag_ids, class_ids, softmax(fwd.class_logits)

@@ -1,10 +1,9 @@
-"""Dense float64 linear algebra, seeded randomness, and stable scalar kernels.
+"""Seeded randomness, Glorot init, and numerically stable scalar kernels.
 
 Everything downstream (layers, CRF, training) sits on this module. Matrices
-are plain 2-D C-contiguous ``numpy.ndarray`` objects of dtype float64; there
-are no views or strides handed out, and slices taken here are copies. The
-RNG is a single splitmix64 stream so that every run is reproducible from one
-integer seed, bit-for-bit, on any platform.
+are plain 2-D ``numpy.ndarray`` objects of dtype float64, multiplied with
+``@``. The RNG is a single splitmix64 stream so that every run is
+reproducible from one integer seed, bit-for-bit, on any platform.
 """
 
 from __future__ import annotations
@@ -26,41 +25,6 @@ class ContractError(ValueError):
 Matrix = np.ndarray
 
 
-def matrix(rows: int, cols: int, fill: float = 0.0) -> Matrix:
-    """Allocate a rows x cols float64 matrix filled with a constant."""
-    if rows < 1 or cols < 1:
-        raise ContractError(f"matrix dims must be >= 1, got {rows}x{cols}")
-    return np.full((rows, cols), fill, dtype=np.float64)
-
-
-def check_matrix(a: Matrix, name: str = "matrix") -> Matrix:
-    if not isinstance(a, np.ndarray) or a.ndim != 2:
-        raise ShapeError(f"{name}: expected a 2-D array, got {getattr(a, 'shape', type(a))}")
-    return a
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b with an explicit shape check."""
-    check_matrix(a, "matmul lhs")
-    check_matrix(b, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def ew(a: Matrix, b: Matrix, kind: str) -> Matrix:
-    """Elementwise add / sub / mul of two same-shape matrices."""
-    if a.shape != b.shape:
-        raise ShapeError(f"ew {kind}: shapes differ, {a.shape} vs {b.shape}")
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise ContractError(f"ew: unknown kind {kind!r}")
-
-
 def sigmoid(x: np.ndarray | float) -> np.ndarray:
     """Numerically stable logistic function.
 
@@ -70,17 +34,6 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
-
-
-def map_scalar(a: Matrix, kind: str) -> Matrix:
-    """Elementwise tanh / sigmoid / exp."""
-    if kind == "tanh":
-        return np.tanh(a)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "exp":
-        return np.exp(a)
-    raise ContractError(f"map_scalar: unknown kind {kind!r}")
 
 
 def logsumexp(v: np.ndarray, axis: int | None = None) -> np.ndarray | float:

@@ -64,30 +64,13 @@ def embed_backward(ids: list[int], d_out: Matrix, table: ParamTensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Dense affine layer
-# ---------------------------------------------------------------------------
-
-def dense_forward(w: ParamTensor, b: ParamTensor, f: np.ndarray) -> np.ndarray:
-    """Affine map W f + b for a single feature vector."""
-    if w.value.shape[1] != f.shape[0] or w.value.shape[0] != b.value.shape[0]:
-        raise ShapeError(f"dense: W {w.value.shape}, b {b.value.shape}, f {f.shape}")
-    return w.value @ f + b.value[:, 0]
-
-
-def dense_backward(w: ParamTensor, b: ParamTensor, f: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-    """Accumulate dW, db and return df."""
-    w.grad += np.outer(d_out, f)
-    b.grad[:, 0] += d_out
-    return w.value.T @ d_out
-
-
-# ---------------------------------------------------------------------------
-# GRU cell and sequence runner
+# GRU cell and packed sequence runner
 # ---------------------------------------------------------------------------
 
 @dataclass
 class GruCell:
-    """Gated recurrent unit.
+    """Gated recurrent unit whose gates are stacked row blocks, in the order
+    r, z, h, of W (3H x I), U (3H x H) and b (3H x 1):
 
     r  = sigmoid(W_r x + U_r h + b_r)
     z  = sigmoid(W_z x + U_z h + b_z)
@@ -95,97 +78,34 @@ class GruCell:
     h' = (1 - z)*h + z*hh
     """
 
-    w_r: ParamTensor
-    w_z: ParamTensor
-    w_h: ParamTensor
-    u_r: ParamTensor
-    u_z: ParamTensor
-    u_h: ParamTensor
-    b_r: ParamTensor
-    b_z: ParamTensor
-    b_h: ParamTensor
+    w: ParamTensor
+    u: ParamTensor
+    b: ParamTensor
 
     @property
     def hidden(self) -> int:
-        return self.w_r.value.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_r.value.shape[1]
+        return self.u.value.shape[1]
 
     def params(self) -> list[ParamTensor]:
-        return [self.w_r, self.w_z, self.w_h, self.u_r, self.u_z, self.u_h,
-                self.b_r, self.b_z, self.b_h]
+        return [self.w, self.u, self.b]
 
 
 def gru_cell(prefix: str, input_dim: int, hidden: int, rng: Rng | None) -> GruCell:
-    """Build a cell whose parameter names carry the given prefix."""
-    def w(gate: str) -> ParamTensor:
-        return param(f"{prefix}.W_{gate}", hidden, input_dim, rng)
+    """Build a cell named ``<prefix>.W``, ``.U`` and ``.b``.
 
-    def u(gate: str) -> ParamTensor:
-        return param(f"{prefix}.U_{gate}", hidden, hidden, rng)
+    Each gate block is its own H-row Glorot draw, W_r, W_z, W_h and then
+    U_r, U_z, U_h, so the init range is that of one gate, not of the
+    stacked 3H-row matrix. Biases start at zero; so does everything when
+    no rng is given.
+    """
+    def stacked(cols: int) -> Matrix:
+        if rng is None:
+            return np.zeros((3 * hidden, cols))
+        return np.vstack([glorot_init(hidden, cols, rng) for _ in range(3)])
 
-    def b(gate: str) -> ParamTensor:
-        return param(f"{prefix}.b_{gate}", hidden, 1, None)
-
-    return GruCell(w("r"), w("z"), w("h"), u("r"), u("z"), u("h"), b("r"), b("z"), b("h"))
-
-
-@dataclass
-class StepCache:
-    """Activations one forward step saves for its backward pass."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    rh: np.ndarray
-    hh: np.ndarray
-
-
-def gru_step(cell: GruCell, x: np.ndarray, h_prev: np.ndarray) -> tuple[np.ndarray, StepCache]:
-    """One GRU step on a single input vector."""
-    if x.shape[0] != cell.input_dim or h_prev.shape[0] != cell.hidden:
-        raise ShapeError(
-            f"gru_step: x {x.shape} vs input_dim {cell.input_dim}, "
-            f"h_prev {h_prev.shape} vs hidden {cell.hidden}")
-    r = sigmoid(cell.w_r.value @ x + cell.u_r.value @ h_prev + cell.b_r.value[:, 0])
-    z = sigmoid(cell.w_z.value @ x + cell.u_z.value @ h_prev + cell.b_z.value[:, 0])
-    rh = r * h_prev
-    hh = np.tanh(cell.w_h.value @ x + cell.u_h.value @ rh + cell.b_h.value[:, 0])
-    h = (1.0 - z) * h_prev + z * hh
-    return h, StepCache(x, h_prev, r, z, rh, hh)
-
-
-def gru_step_backward(cell: GruCell, cache: StepCache, dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through one step; accumulates cell grads, returns (dx, dh_prev)."""
-    c = cache
-    dz = dh * (c.hh - c.h_prev)
-    dhh = dh * c.z
-    dh_prev = dh * (1.0 - c.z)
-
-    da_h = dhh * (1.0 - c.hh * c.hh)
-    cell.w_h.grad += np.outer(da_h, c.x)
-    cell.u_h.grad += np.outer(da_h, c.rh)
-    cell.b_h.grad[:, 0] += da_h
-    d_rh = cell.u_h.value.T @ da_h
-    dr = d_rh * c.h_prev
-    dh_prev = dh_prev + d_rh * c.r
-
-    da_z = dz * c.z * (1.0 - c.z)
-    cell.w_z.grad += np.outer(da_z, c.x)
-    cell.u_z.grad += np.outer(da_z, c.h_prev)
-    cell.b_z.grad[:, 0] += da_z
-
-    da_r = dr * c.r * (1.0 - c.r)
-    cell.w_r.grad += np.outer(da_r, c.x)
-    cell.u_r.grad += np.outer(da_r, c.h_prev)
-    cell.b_r.grad[:, 0] += da_r
-
-    dx = cell.w_h.value.T @ da_h + cell.w_z.value.T @ da_z + cell.w_r.value.T @ da_r
-    dh_prev = dh_prev + cell.u_z.value.T @ da_z + cell.u_r.value.T @ da_r
-    return dx, dh_prev
+    return GruCell(ParamTensor(f"{prefix}.W", stacked(input_dim)),
+                   ParamTensor(f"{prefix}.U", stacked(hidden)),
+                   param(f"{prefix}.b", 3 * hidden, 1, None))
 
 
 @dataclass
@@ -240,13 +160,6 @@ class GruCache:
     gates: Matrix       # N x 3H, packed: [r ; z ; hh]
 
 
-def _stacked(cell: GruCell) -> tuple[Matrix, np.ndarray, Matrix]:
-    """[W_r;W_z;W_h], [b_r;b_z;b_h] and [U_r;U_z], stacked by gate."""
-    w = np.vstack([cell.w_r.value, cell.w_z.value, cell.w_h.value])
-    b = np.concatenate([cell.b_r.value[:, 0], cell.b_z.value[:, 0], cell.b_h.value[:, 0]])
-    return w, b, np.vstack([cell.u_r.value, cell.u_z.value])
-
-
 def gru_forward(cell: GruCell, xs: Matrix, packing: Packing
                 ) -> tuple[Matrix, Matrix, GruCache]:
     """Run the cell over every sequence of a packed batch, each from a zero
@@ -260,11 +173,11 @@ def gru_forward(cell: GruCell, xs: Matrix, packing: Packing
     ``gru_backward``.
     """
     hdim = cell.hidden
-    w, b, u_rz = _stacked(cell)
-    u_rzT, u_hT = u_rz.T, cell.u_h.value.T
+    u = cell.u.value
+    u_rzT, u_hT = u[: 2 * hdim].T, u[2 * hdim:].T
     # The input projections; each step overwrites its rows with the gates.
-    gates = xs[packing.rows] @ w.T
-    gates += b
+    gates = xs[packing.rows] @ cell.w.value.T
+    gates += cell.b.value[:, 0]
     hs = np.empty((gates.shape[0], hdim))
     hp = np.empty_like(hs)
 
@@ -298,8 +211,8 @@ def gru_backward(cell: GruCell, cache: GruCache, d_hs: Matrix,
     """
     hdim = cell.hidden
     packing = cache.packing
-    w, _, u_rz = _stacked(cell)
-    u_h = cell.u_h.value
+    u = cell.u.value
+    u_rz, u_h = u[: 2 * hdim], u[2 * hdim:]
     dp = d_hs[packing.rows]
     if d_last is not None:
         dp[packing.last] += d_last
@@ -319,19 +232,13 @@ def gru_backward(cell: GruCell, cache: GruCache, d_hs: Matrix,
         a[:, hdim: 2 * hdim] = dht * (hh - h_prev) * (z * (1.0 - z))
         dh = dht * (1.0 - z) + d_rh * r + a[:, : 2 * hdim] @ u_rz
 
-    d_w = da.T @ cache.xs[packing.rows]
-    d_b = da.sum(axis=0)
-    for g, (w_g, b_g) in enumerate([(cell.w_r, cell.b_r), (cell.w_z, cell.b_z),
-                                    (cell.w_h, cell.b_h)]):
-        w_g.grad += d_w[g * hdim: (g + 1) * hdim]
-        b_g.grad[:, 0] += d_b[g * hdim: (g + 1) * hdim]
-    d_u_rz = da[:, : 2 * hdim].T @ cache.h_prev
-    cell.u_r.grad += d_u_rz[:hdim]
-    cell.u_z.grad += d_u_rz[hdim:]
-    cell.u_h.grad += da[:, 2 * hdim:].T @ (cache.gates[:, :hdim] * cache.h_prev)  # rh
+    cell.w.grad += da.T @ cache.xs[packing.rows]
+    cell.b.grad[:, 0] += da.sum(axis=0)
+    cell.u.grad[: 2 * hdim] += da[:, : 2 * hdim].T @ cache.h_prev
+    cell.u.grad[2 * hdim:] += da[:, 2 * hdim:].T @ (cache.gates[:, :hdim] * cache.h_prev)  # rh
 
     out = np.empty_like(cache.xs)
-    out[packing.rows] = da @ w
+    out[packing.rows] = da @ cell.w.value
     return out
 
 
@@ -380,21 +287,27 @@ def bigru_backward(fwd: GruCell, bwd: GruCell, cache: BiGruCache, d_token_reps: 
 # ---------------------------------------------------------------------------
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    m = float(np.max(logits))
-    e = np.exp(logits - m)
-    return e / e.sum()
+    """Softmax along the last axis: of a vector, or of each row of a matrix."""
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_ce(logits: np.ndarray, gold: int) -> tuple[float, np.ndarray]:
-    """Stable cross-entropy loss and its gradient w.r.t. the logits."""
-    k = logits.shape[0]
-    if not 0 <= gold < k:
-        raise ContractError(f"softmax_ce: gold {gold} out of range [0, {k})")
-    lse = logsumexp(logits)
-    loss = lse - float(logits[gold])
-    dlogits = np.exp(logits - lse)
-    dlogits[gold] -= 1.0
-    return loss, dlogits
+def softmax_ce(logits: Matrix, gold: list[int]) -> tuple[float, Matrix]:
+    """Cross-entropy of each row of an N x K logit matrix against its gold
+    column: the loss summed over the rows, and its N x K gradient."""
+    n, k = logits.shape
+    gold = np.asarray(gold, dtype=np.intp)
+    if gold.shape != (n,):
+        raise ContractError(f"softmax_ce: {gold.size} gold labels for {n} rows")
+    bad = np.flatnonzero((gold < 0) | (gold >= k))
+    if bad.size:
+        i = int(bad[0])
+        raise ContractError(f"softmax_ce: gold {gold[i]} at row {i} out of range [0, {k})")
+    rows = np.arange(n)
+    lse = logsumexp(logits, axis=1)
+    dlogits = np.exp(logits - lse[:, None])
+    dlogits[rows, gold] -= 1.0
+    return float(np.sum(lse - logits[rows, gold])), dlogits
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +346,13 @@ def grad_check(loss_fn, params: list[ParamTensor], eps: float = 1e-5,
     the current parameter values and, as a side effect, repopulates grads.
     For each tensor, ``sample`` distinct coordinates are drawn from ``rng``
     and checked at (L(t+eps) - L(t-eps)) / 2 eps. Relative error is
-    |a - n| / max(1e-8, |a| + |n|).
+    |a - n| / max(1e-8, |a| + |n|). ``sample`` must be >= 1 and ``eps``
+    finite and > 0.
     """
+    if sample < 1:
+        raise ContractError(f"grad_check: sample must be >= 1, got {sample!r}")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ContractError(f"grad_check: eps must be finite and > 0, got {eps!r}")
     rng = rng or Rng(0)
     zero_grads(params)
     base = loss_fn()

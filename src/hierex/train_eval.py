@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Document, SpanPrf, Vocab, bio_decode, span_prf
-from .hier_model import HierConfig, HierModel, TAGGER_MODES
+from .hier_model import HierConfig, HierModel
 from .linalg import ContractError, Rng
 from .nn import ParamTensor
 
@@ -41,8 +41,6 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 5
     seed: int = 1
-    lambda_sent: float = 0.5
-    tagger_mode: str = "crf"
 
     def validate(self) -> None:
         if not self.lr > 0:
@@ -61,23 +59,6 @@ class TrainConfig:
             raise ContractError("TrainConfig.max_epochs must be >= 1")
         if self.patience < 1:
             raise ContractError("TrainConfig.patience must be >= 1")
-        if not (np.isfinite(self.lambda_sent) and self.lambda_sent >= 0.0):
-            raise ContractError("TrainConfig.lambda_sent must be finite and >= 0")
-        if self.tagger_mode not in TAGGER_MODES:
-            raise ContractError(f"TrainConfig.tagger_mode must be one of {TAGGER_MODES}")
-
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
-            "adam_eps": self.adam_eps, "clip_norm": self.clip_norm,
-            "batch_docs": self.batch_docs, "max_epochs": self.max_epochs,
-            "patience": self.patience, "seed": self.seed,
-            "lambda_sent": self.lambda_sent, "tagger_mode": self.tagger_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 class Adam:
@@ -278,7 +259,7 @@ def train(model: HierModel, train_docs: list[Document], dev_docs: list[Document]
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"HRNN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path: str, model: HierModel, vocab: Vocab,

@@ -8,6 +8,7 @@ import struct
 import pytest
 
 from hierex.cli import main
+from hierex.train_eval import load_checkpoint
 
 SMALL = ["--set", "embed_dim=8", "--set", "sent_hidden=8", "--set", "doc_hidden=8"]
 
@@ -95,6 +96,12 @@ class TestUsageErrors:
                      "--dev", str(corpus / "dev.jsonl"),
                      "--out-model", str(tmp_path / "m.bin"), "--set", pair]) == 1
 
+    @pytest.mark.parametrize("flags", [["--sample", "0"], ["--sample", "-3"],
+                                       ["--eps", "0"], ["--eps", "nan"]])
+    def test_bad_gradcheck_values(self, flags, capsys):
+        assert main(["gradcheck", *flags]) == 1
+        assert "must be" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_model_history_report(self, tmp_path, capsys, arts):
@@ -127,6 +134,27 @@ class TestTrain:
         assert not os.path.exists(str(model) + ".report.json")
         rows = [json.loads(s) for s in read_lines(str(model) + ".history.jsonl")]
         assert "warning" in rows[0]
+
+    def test_model_knobs_set_the_model_config(self, tmp_path, capsys, arts):
+        # tagger_mode and lambda_sent live on the model config alone.
+        corpus = arts["corpus"]
+        model = tmp_path / "m.bin"
+        assert main(["train", "--train", str(corpus / "train.jsonl"),
+                     "--dev", str(corpus / "dev.jsonl"), "--out-model", str(model),
+                     "--set", "tagger_mode=softmax", "--set", "lambda_sent=0.25",
+                     "--set", "max_epochs=1", *SMALL]) == 0
+        cfg = load_checkpoint(str(model))[0].cfg
+        assert (cfg.tagger_mode, cfg.lambda_sent) == ("softmax", 0.25)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("pair", ["tagger_mode=hmm", "lambda_sent=-1",
+                                      "lambda_sent=nan"])
+    def test_bad_model_knob_is_input_error(self, tmp_path, capsys, arts, pair):
+        corpus = arts["corpus"]
+        assert main(["train", "--train", str(corpus / "train.jsonl"),
+                     "--dev", str(corpus / "dev.jsonl"),
+                     "--out-model", str(tmp_path / "m.bin"), "--set", pair]) == 2
+        assert "HierConfig" in capsys.readouterr().err
 
     def test_config_file_with_set_override(self, tmp_path, capsys, arts):
         corpus = arts["corpus"]
@@ -345,7 +373,7 @@ class TestExtract:
 
 class TestGradcheckCommand:
     def test_passes_and_prints_verdict(self, capsys):
-        assert main(["gradcheck", "--sample", "3"]) == 0
+        assert main(["gradcheck", "--sample", "9"]) == 0
         out = capsys.readouterr().out
         assert "gradcheck PASS" in out
         assert "softmax  overall max_rel" in out

@@ -42,6 +42,13 @@ class TestParamInventory:
         model = toy_model(mode)
         assert model.param_count() == expected_param_count(model.cfg)
 
+    def test_each_gru_cell_is_three_tensors(self):
+        names = [p.name for p in toy_model("crf").params()]
+        assert len(names) == 20
+        for cell in ("sent_fwd", "sent_bwd", "doc_fwd", "doc_bwd"):
+            assert [n for n in names if n.startswith(cell + ".")] == [
+                f"{cell}.W", f"{cell}.U", f"{cell}.b"]
+
     def test_names_unique(self):
         names = [p.name for p in toy_model("crf").params()]
         assert len(names) == len(set(names))
@@ -177,7 +184,7 @@ class TestGradients:
         model = toy_model(mode, seed=11)
         ids, tags, classes = toy_batch(seed=11)
         report = grad_check(lambda: model.loss_document(ids, tags, classes),
-                            model.params(), eps=1e-5, sample=12, rng=rng)
+                            model.params(), eps=1e-5, sample=36, rng=rng)
         assert report.max_rel < 1e-4, f"{mode}: {report.max_rel:.3e}"
 
     def test_ablated_grad_check(self):

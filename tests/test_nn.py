@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hierex.linalg import ContractError, Rng, ShapeError, glorot_init
-from hierex.nn import (ParamTensor, bigru_forward, bigru_backward, dense_backward,
-                       dense_forward, embed_backward, embed_forward, grad_check,
-                       gru_backward, gru_cell, gru_forward, gru_step, gru_step_backward,
+from hierex.linalg import ContractError, Rng, glorot_init, sigmoid
+from hierex.nn import (ParamTensor, bigru_forward, bigru_backward, embed_backward,
+                       embed_forward, grad_check, gru_backward, gru_cell, gru_forward,
                        pack, param, softmax, softmax_ce, zero_grads)
 
 
@@ -78,98 +77,57 @@ class TestEmbedding:
             assert rel_err(float(aflat[c]), numeric) < 1e-7
 
 
-class TestDense:
-    def test_identity(self):
-        w = ParamTensor("W", np.eye(3))
-        b = ParamTensor("b", np.zeros((3, 1)))
-        f = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(dense_forward(w, b, f), f)
-
-    def test_zero_weight_gives_bias(self):
-        w = ParamTensor("W", np.zeros((2, 3)))
-        b = ParamTensor("b", np.array([[4.0], [5.0]]))
-        assert np.array_equal(dense_forward(w, b, np.ones(3)), np.array([4.0, 5.0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            dense_forward(ParamTensor("W", np.zeros((2, 3))),
-                          ParamTensor("b", np.zeros((2, 1))), np.zeros(4))
-
-    def test_gradients_match_finite_differences(self):
-        rng = Rng(5)
-        w = ParamTensor("W", glorot_init(3, 2, rng))
-        b = ParamTensor("b", glorot_init(3, 1, rng))
-        f = np.array([0.3, -0.7])
-        proj = glorot_init(1, 3, rng)[0]
-
-        def loss_fn():
-            return float(np.dot(dense_forward(w, b, f), proj))
-
-        zero_grads([w, b])
-        loss_fn()
-        df = dense_backward(w, b, f, proj)
-        for tensor in (w, b):
-            flat = tensor.value.reshape(-1)
-            analytic = tensor.grad.copy().reshape(-1)
-            for c in range(flat.size):
-                numeric = central_diff(loss_fn, flat, c, 1e-5)
-                assert rel_err(float(analytic[c]), numeric) < 1e-7
-        for c in range(f.size):
-            numeric = central_diff(loss_fn, f, c, 1e-5)
-            assert rel_err(float(df[c]), numeric) < 1e-7
+class TestGruCell:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_init_is_per_gate_glorot_draws(self, seed):
+        # Each gate block is drawn with the Glorot limit of one H-row gate,
+        # in the order W_r, W_z, W_h, U_r, U_z, U_h; biases stay zero.
+        cell = gru_cell("g", 6, 3, Rng(seed))
+        assert [(p.name, p.value.shape) for p in cell.params()] == [
+            ("g.W", (9, 6)), ("g.U", (9, 3)), ("g.b", (9, 1))]
+        rng = Rng(seed)
+        w = np.vstack([glorot_init(3, 6, rng) for _ in range(3)])
+        u = np.vstack([glorot_init(3, 3, rng) for _ in range(3)])
+        assert cell.w.value.tobytes() == w.tobytes()
+        assert cell.u.value.tobytes() == u.tobytes()
+        assert np.all(cell.b.value == 0.0)
 
 
 class TestGruStep:
     def test_zero_cell_halves_state(self):
-        cell = gru_cell("g", 2, 2, None)  # all zeros
-        h, _ = gru_step(cell, np.zeros(2), np.array([0.4, -0.2]))
-        assert np.array_equal(h, np.array([0.2, -0.1]))
+        # Only W_h is nonzero, so step 1 sets h = tanh(W_h x) / 2; on a zero
+        # input at step 2 both gates are 1/2 and the candidate is 0.
+        cell = gru_cell("g", 2, 2, None)
+        cell.w.value[4:] = [[0.8, 0.0], [0.0, -0.4]]
+        hs, last, _ = gru_forward(cell, np.array([[1.0, 1.0], [0.0, 0.0]]), pack([2]))
+        assert np.array_equal(hs[0], 0.5 * np.tanh([0.8, -0.4]))
+        assert np.array_equal(last[0], 0.5 * hs[0])
 
     def test_zero_fixed_point(self):
         cell = gru_cell("g", 2, 3, None)
-        h, _ = gru_step(cell, np.zeros(2), np.zeros(3))
-        assert np.array_equal(h, np.zeros(3))
-
-    def test_shape_error(self):
-        cell = gru_cell("g", 2, 3, Rng(0))
-        with pytest.raises(ShapeError):
-            gru_step(cell, np.zeros(5), np.zeros(3))
-
-    def test_gradients_match_finite_differences(self):
-        rng = Rng(7)
-        cell = gru_cell("g", 2, 3, rng)
-        x = np.array([rng.uniform() - 0.5 for _ in range(2)])
-        h_prev = np.array([rng.uniform() - 0.5 for _ in range(3)])
-        proj = np.array([rng.uniform() - 0.5 for _ in range(3)])
-
-        def loss_fn():
-            h, _ = gru_step(cell, x, h_prev)
-            return float(np.dot(h, proj))
-
-        zero_grads(cell.params())
-        _, cache = gru_step(cell, x, h_prev)
-        dx, dh_prev = gru_step_backward(cell, cache, proj)
-        for t in cell.params():
-            flat = t.value.reshape(-1)
-            aflat = t.grad.reshape(-1)
-            for c in range(flat.size):
-                numeric = central_diff(loss_fn, flat, c, 1e-5)
-                assert rel_err(float(aflat[c]), numeric) < 1e-6
-        for c in range(x.size):
-            assert rel_err(float(dx[c]), central_diff(loss_fn, x, c, 1e-5)) < 1e-6
-        for c in range(h_prev.size):
-            assert rel_err(float(dh_prev[c]), central_diff(loss_fn, h_prev, c, 1e-5)) < 1e-6
+        hs, last, _ = gru_forward(cell, np.zeros((3, 2)), pack([1, 1, 1]))
+        assert np.array_equal(hs, np.zeros((3, 3)))
+        assert np.array_equal(last, np.zeros((3, 3)))
 
 
 def stepwise(cell, xs, lengths, reverse=False):
-    """Per-sequence gru_step oracle: hidden states in the row order of xs."""
-    out = np.empty((xs.shape[0], cell.hidden))
+    """Per-sequence, per-step oracle written gate by gate from the row
+    blocks of W, U and b: hidden states in the row order of xs."""
+    hdim = cell.hidden
+    w_r, w_z, w_h = np.split(cell.w.value, 3)
+    u_r, u_z, u_h = np.split(cell.u.value, 3)
+    b_r, b_z, b_h = np.split(cell.b.value[:, 0], 3)
+    out = np.empty((xs.shape[0], hdim))
     start = 0
     for n in lengths:
-        h = np.zeros(cell.hidden)
+        h = np.zeros(hdim)
         rows = range(start + n - 1, start - 1, -1) if reverse else range(start, start + n)
         for t in rows:
-            h, _ = gru_step(cell, xs[t], h)
+            x = xs[t]
+            r = sigmoid(w_r @ x + u_r @ h + b_r)
+            z = sigmoid(w_z @ x + u_z @ h + b_z)
+            hh = np.tanh(w_h @ x + u_h @ (r * h) + b_h)
+            h = (1.0 - z) * h + z * hh
             out[t] = h
         start += n
     return out
@@ -379,31 +337,47 @@ class TestBiGru:
             bigru_backward(fwd, bwd, cache, proj, d_last_fwd=pf, d_last_bwd=pb)
             return float(np.sum(reps * proj) + np.sum(last_f * pf) + np.sum(last_b * pb))
 
-        report = grad_check(loss_fn, fwd.params() + bwd.params(), eps=1e-5, sample=12,
+        report = grad_check(loss_fn, fwd.params() + bwd.params(), eps=1e-5, sample=36,
                             rng=Rng(1))
         assert report.passed(1e-4), report.max_rel
 
 
 class TestSoftmaxCe:
     def test_symmetric_two_logits(self):
-        loss, dlogits = softmax_ce(np.array([0.0, 0.0]), 0)
+        loss, dlogits = softmax_ce(np.array([[0.0, 0.0]]), [0])
         assert loss == pytest.approx(0.6931471805599453, abs=1e-15)
-        assert np.allclose(dlogits, [-0.5, 0.5], atol=1e-15)
+        assert np.allclose(dlogits, [[-0.5, 0.5]], atol=1e-15)
 
     def test_hand_softmax(self):
         probs = softmax(np.array([math.log(2.0), 0.0]))
         assert np.allclose(probs, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+        rows = softmax(np.array([[math.log(2.0), 0.0], [0.0, 0.0]]))
+        assert np.allclose(rows, [[2.0 / 3.0, 1.0 / 3.0], [0.5, 0.5]], atol=1e-15)
 
     def test_dlogits_sum_to_zero(self):
         rng = Rng(9)
         for _ in range(20):
-            logits = np.array([rng.uniform() * 10 - 5 for _ in range(rng.below(5) + 2)])
-            _, d = softmax_ce(logits, rng.below(logits.size))
-            assert abs(float(d.sum())) < 1e-12
+            k = rng.below(5) + 2
+            logits = glorot_init(rng.below(4) + 1, k, rng) * 10.0
+            _, d = softmax_ce(logits, [rng.below(k) for _ in range(logits.shape[0])])
+            assert np.max(np.abs(d.sum(axis=1))) < 1e-12
+
+    def test_rows_match_one_row_calls(self):
+        rng = Rng(10)
+        logits = glorot_init(6, 4, rng) * 5.0
+        gold = [rng.below(4) for _ in range(6)]
+        loss, d = softmax_ce(logits, gold)
+        parts = [softmax_ce(logits[i: i + 1], [g]) for i, g in enumerate(gold)]
+        assert loss == pytest.approx(sum(p[0] for p in parts), rel=1e-15)
+        assert np.array_equal(d, np.vstack([p[1] for p in parts]))
 
     def test_gold_out_of_range(self):
-        with pytest.raises(ContractError):
-            softmax_ce(np.zeros(3), 3)
+        with pytest.raises(ContractError, match="gold 3 at row 1"):
+            softmax_ce(np.zeros((2, 3)), [0, 3])
+        with pytest.raises(ContractError, match="gold -1 at row 0"):
+            softmax_ce(np.zeros((2, 3)), [-1, 0])
+        with pytest.raises(ContractError, match="2 gold labels for 3 rows"):
+            softmax_ce(np.zeros((3, 3)), [0, 1])
 
 
 class TestGradCheckHarness:
@@ -414,9 +388,10 @@ class TestGradCheckHarness:
         f = np.array([0.4, -0.9])
 
         def loss_fn():
-            logits = dense_forward(w, b, f)
-            loss, dlogits = softmax_ce(logits, 1)
-            dense_backward(w, b, f, dlogits)
+            logits = w.value @ f + b.value[:, 0]
+            loss, dlogits = softmax_ce(logits[None, :], [1])
+            w.grad += np.outer(dlogits[0], f)
+            b.grad[:, 0] += dlogits[0]
             return loss
 
         return loss_fn, [w, b]
@@ -438,7 +413,7 @@ class TestGradCheckHarness:
 
         def pure_loss():
             logits = w.value @ np.array([0.4, -0.9]) + params[1].value[:, 0]
-            val, _ = softmax_ce(logits, 1)
+            val, _ = softmax_ce(logits[None, :], [1])
             return val
 
         e1 = abs(central_diff(pure_loss, flat, 0, 1e-3) - analytic)
@@ -461,3 +436,13 @@ class TestGradCheckHarness:
 
         with pytest.raises(ContractError, match="theta"):
             grad_check(loss_fn, [p], eps=1e-5, sample=1, rng=Rng(0))
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(sample=0), "sample"), (dict(sample=-3), "sample"),
+        (dict(eps=0.0), "eps"), (dict(eps=-1e-5), "eps"),
+        (dict(eps=math.nan), "eps"), (dict(eps=math.inf), "eps"),
+    ])
+    def test_bad_sample_or_eps_rejected(self, kwargs, match):
+        loss_fn, params = self._dense_softmax_setup()
+        with pytest.raises(ContractError, match=match):
+            grad_check(loss_fn, params, **{"eps": 1e-5, "sample": 5, **kwargs})
