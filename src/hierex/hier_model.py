@@ -25,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import crf as crf_mod
-from .crf import CrfParams, viterbi
+from .crf import CrfParams
 from .linalg import ContractError, Matrix, Rng
 from .nn import (BiGruCache, GruCell, ParamTensor, bigru_backward, bigru_forward,
                  embed_backward, embed_forward, gru_cell, param, softmax, softmax_ce,
@@ -92,19 +92,27 @@ def expected_param_count(cfg: HierConfig) -> int:
 class DocForward:
     """Everything forward_document computes, kept for the backward pass.
 
-    The per-sentence lists are views into whole-document arrays whose rows
-    hold every token of the document in order.
+    The row matrices hold every token of the document in order; ``split``
+    cuts one into per-sentence views.
     """
 
-    token_reps: list[Matrix]        # per sentence, len_i x 2H
+    lengths: list[int]              # tokens per sentence
+    token_rows: Matrix              # T x 2H
     sent_vecs: Matrix               # m x 2H
     doc_vecs: Matrix                # m x 2D (the c_i rows)
     class_logits: Matrix            # m x C
-    feats: list[Matrix]             # per sentence, len_i x (2H+2D)
-    emissions: list[Matrix]         # per sentence, len_i x K
-    sent_cache: BiGruCache | None = field(repr=False, default=None)
-    doc_cache: BiGruCache | None = field(repr=False, default=None)
-    feat_rows: Matrix | None = field(repr=False, default=None)  # all tokens' feats
+    feat_rows: Matrix               # T x (2H+2D)
+    emission_rows: Matrix           # T x K
+    sent_cache: BiGruCache = field(repr=False)  # its packings also drive the CRF
+    doc_cache: BiGruCache = field(repr=False)
+
+    @property
+    def starts(self) -> list[int]:
+        return list(accumulate(self.lengths[:-1], initial=0))
+
+    def split(self, rows: Matrix) -> list[Matrix]:
+        """Per-sentence views of a matrix with one row per token."""
+        return np.split(rows, self.starts[1:])
 
 
 class HierModel:
@@ -152,7 +160,6 @@ class HierModel:
             if not ids:
                 raise ContractError(f"forward_document: sentence {i} is empty")
         lengths = [len(ids) for ids in id_seqs]
-        splits = list(accumulate(lengths[:-1]))
         xs = embed_forward([t for ids in id_seqs for t in ids], self.embedding)
         u, last_f, last_b, sent_cache = bigru_forward(self.sent_fwd, self.sent_bwd, xs, lengths)
         sent_vecs = np.hstack([last_f, last_b])
@@ -167,9 +174,8 @@ class HierModel:
             ctx = np.repeat(doc_vecs, lengths, axis=0)
         feats = np.hstack([u, ctx])
         emissions = feats @ self.emit_w.value.T + self.emit_b.value[:, 0]
-        return DocForward(np.split(u, splits), sent_vecs, doc_vecs, class_logits,
-                          np.split(feats, splits), np.split(emissions, splits),
-                          sent_cache, doc_cache, feats)
+        return DocForward(lengths, u, sent_vecs, doc_vecs, class_logits, feats, emissions,
+                          sent_cache, doc_cache)
 
     # -- training loss ------------------------------------------------------
 
@@ -185,34 +191,29 @@ class HierModel:
                 raise ContractError(f"loss_document: sentence {i} lacks a gold class")
         fwd = self.forward_document(id_seqs)
         m = len(id_seqs)
-        total_tokens = sum(len(ids) for ids in id_seqs)
-        inv_tok = 1.0 / total_tokens
+        gold = [t for tags in gold_tags for t in tags]
+        inv_tok = 1.0 / len(gold)
 
         if self.crf is not None:
-            tag_nll = 0.0
-            d_emissions: list[Matrix] = []
-            for em, tags in zip(fwd.emissions, gold_tags):
-                nll, d_em = crf_mod.crf_nll_and_grads(em, tags, self.crf, scale=inv_tok)
-                tag_nll += nll
-                d_emissions.append(d_em)
+            packs = fwd.sent_cache
+            tag_nll, d_em = crf_mod.batch_nll_and_grads(
+                fwd.emission_rows, gold, packs.fwd.packing, packs.bwd.packing, self.crf,
+                scale=inv_tok)
         else:
-            tag_nll, d_em = softmax_ce(np.vstack(fwd.emissions),
-                                       [t for tags in gold_tags for t in tags])
+            tag_nll, d_em = softmax_ce(fwd.emission_rows, gold)
             d_em *= inv_tok
-            d_emissions = np.split(d_em, list(accumulate(len(ids) for ids in id_seqs[:-1])))
         tag_loss = tag_nll * inv_tok
 
         class_loss, d_cls_logits = softmax_ce(fwd.class_logits, gold_classes)
         class_loss /= m
         d_cls_logits *= self.cfg.lambda_sent / m
 
-        self._backward(id_seqs, fwd, d_emissions, d_cls_logits)
+        self._backward(id_seqs, fwd, d_em, d_cls_logits)
         return tag_loss + self.cfg.lambda_sent * class_loss
 
     def _backward(self, id_seqs: list[list[int]], fwd: DocForward,
-                  d_emissions: list[Matrix], d_cls_logits: Matrix) -> None:
+                  d_em: Matrix, d_cls_logits: Matrix) -> None:
         h2 = 2 * self.cfg.sent_hidden
-        d_em = np.vstack(d_emissions)
         self.emit_w.grad += d_em.T @ fwd.feat_rows
         self.emit_b.grad[:, 0] += d_em.sum(axis=0)
         d_token_reps = d_em @ self.emit_w.value[:, :h2]
@@ -222,7 +223,7 @@ class HierModel:
         d_doc_vecs = d_cls_logits @ self.cls_w.value
         if not self.cfg.ablate_doc_context:
             # Every token of sentence i reads c_i, so c_i gets their summed grads.
-            d_em_sums = np.vstack([d.sum(axis=0) for d in d_emissions])
+            d_em_sums = np.vstack([d.sum(axis=0) for d in fwd.split(d_em)])
             d_doc_vecs += d_em_sums @ self.emit_w.value[:, h2:]
 
         d_sent_vecs = bigru_backward(self.doc_fwd, self.doc_bwd, fwd.doc_cache, d_doc_vecs)
@@ -239,15 +240,16 @@ class HierModel:
         """Decode tag ids per sentence, class ids, and class probabilities.
 
         Ties at any argmax break toward the smaller id. Pure function of the
-        parameters and input: repeated calls are identical.
+        parameters and input: repeated calls are identical, and a sentence's
+        tags do not depend on the other sentences' emissions.
         """
         fwd = self.forward_document(id_seqs)
-        tag_ids: list[list[int]] = []
-        for em in fwd.emissions:
-            if self.crf is not None:
-                path, _ = viterbi(em, self.crf)
-            else:
-                path = [int(t) for t in np.argmax(em, axis=1)]
-            tag_ids.append(path)
+        if self.crf is not None:
+            tags = crf_mod.batch_viterbi(fwd.emission_rows, fwd.sent_cache.fwd.packing,
+                                         self.crf)
+        else:
+            tags = np.argmax(fwd.emission_rows, axis=1)
+        tags = tags.tolist()
+        tag_ids = [tags[s: s + n] for s, n in zip(fwd.starts, fwd.lengths)]
         class_ids = [int(i) for i in np.argmax(fwd.class_logits, axis=1)]
         return tag_ids, class_ids, softmax(fwd.class_logits)

@@ -52,10 +52,12 @@ def zero_grads(params: list[ParamTensor]) -> None:
 def embed_forward(ids: list[int], table: ParamTensor) -> Matrix:
     """Row lookup: output row t is table row ids[t]."""
     vocab = table.value.shape[0]
-    for t, i in enumerate(ids):
-        if not 0 <= i < vocab:
-            raise ContractError(f"embed_forward: id {i} at position {t} out of range [0, {vocab})")
-    return table.value[np.asarray(ids, dtype=np.intp)].copy()
+    idx = np.asarray(ids, dtype=np.intp)
+    bad = np.flatnonzero((idx < 0) | (idx >= vocab))
+    if bad.size:
+        t = int(bad[0])
+        raise ContractError(f"embed_forward: id {idx[t]} at position {t} out of range [0, {vocab})")
+    return table.value[idx]
 
 
 def embed_backward(ids: list[int], d_out: Matrix, table: ParamTensor) -> None:

@@ -1,4 +1,5 @@
-"""Linear-chain CRF against brute-force path enumeration oracles."""
+"""Linear-chain CRF against brute-force path enumeration oracles, and the
+packed batch kernels against a per-sentence oracle."""
 
 import itertools
 import math
@@ -6,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from hierex.crf import (crf_log_partition, crf_nll_and_grads, crf_params,
-                        crf_score, viterbi)
+from hierex.crf import (batch_nll_and_grads, batch_viterbi, crf_log_partition, crf_params,
+                        crf_score, forward_backward, viterbi)
 from hierex.linalg import ContractError, Rng, ShapeError, glorot_init, logsumexp
+from hierex.nn import pack
 
 
 def random_instance(seed, n=None, k=None):
@@ -21,6 +23,87 @@ def random_instance(seed, n=None, k=None):
     p.start.value[...] = glorot_init(k, 1, rng)
     p.end.value[...] = glorot_init(k, 1, rng)
     return emissions, p
+
+
+def random_batch(seed, lengths, k=3, half_steps=False):
+    """Per-sentence emissions and gold tags, and CRF params. With
+    ``half_steps`` every score is a multiple of 0.5, so Viterbi meets ties."""
+    rng = Rng(seed)
+    ems = [glorot_init(n, k, rng) * 4.0 for n in lengths]
+    gold = [[rng.below(k) for _ in range(n)] for n in lengths]
+    p = crf_params(k)
+    p.trans.value[...] = glorot_init(k, k, rng) * 2.0
+    p.start.value[...] = glorot_init(k, 1, rng)
+    p.end.value[...] = glorot_init(k, 1, rng)
+    if half_steps:
+        ems = [np.round(2.0 * e) / 2.0 for e in ems]
+        for t in p.params():
+            t.value[...] = np.round(2.0 * t.value) / 2.0
+    return ems, gold, p
+
+
+def packed_nll(ems, gold, p, scale=1.0):
+    """batch_nll_and_grads on the sentences ``ems`` with gold tag lists ``gold``."""
+    lengths = [e.shape[0] for e in ems]
+    return batch_nll_and_grads(np.vstack(ems), [t for g in gold for t in g], pack(lengths),
+                               pack(lengths, reverse=True), p, scale)
+
+
+def oracle_log_partition(emissions, p):
+    """One sentence's forward and backward recursions, one step at a time."""
+    n, k = emissions.shape
+    trans = p.trans.value
+    alphas = np.empty((n, k))
+    alphas[0] = p.start.value[:, 0] + emissions[0]
+    for t in range(1, n):
+        alphas[t] = logsumexp(alphas[t - 1][:, None] + trans, axis=0) + emissions[t]
+    log_z = float(logsumexp(alphas[n - 1] + p.end.value[:, 0]))
+    betas = np.empty((n, k))
+    betas[n - 1] = p.end.value[:, 0]
+    for t in range(n - 2, -1, -1):
+        betas[t] = logsumexp(trans + (emissions[t + 1] + betas[t + 1])[None, :], axis=1)
+    return log_z, alphas, betas
+
+
+def oracle_nll_and_grads(emissions, gold_tags, p, scale=1.0):
+    """One sentence's nll and gradients from per-token marginals."""
+    n, k = emissions.shape
+    log_z, alphas, betas = oracle_log_partition(emissions, p)
+    nll = log_z - crf_score(emissions, gold_tags, p)
+    unary = np.exp(alphas + betas - log_z)
+    d_emissions = unary.copy()
+    for t, y in enumerate(gold_tags):
+        d_emissions[t, y] -= 1.0
+    trans = p.trans.value
+    d_trans = np.zeros_like(trans)
+    for t in range(1, n):
+        d_trans += np.exp(alphas[t - 1][:, None] + trans
+                          + (emissions[t] + betas[t])[None, :] - log_z)
+        d_trans[gold_tags[t - 1], gold_tags[t]] -= 1.0
+    p.trans.grad += scale * d_trans
+    d_start = unary[0].copy()
+    d_start[gold_tags[0]] -= 1.0
+    p.start.grad[:, 0] += scale * d_start
+    d_end = unary[n - 1].copy()
+    d_end[gold_tags[n - 1]] -= 1.0
+    p.end.grad[:, 0] += scale * d_end
+    return nll, scale * d_emissions
+
+
+def oracle_viterbi(emissions, p):
+    """One sentence's best path, one step at a time."""
+    n, k = emissions.shape
+    trans = p.trans.value
+    delta = p.start.value[:, 0] + emissions[0]
+    backptr = np.empty((n, k), dtype=np.intp)
+    for t in range(1, n):
+        scores = delta[:, None] + trans
+        backptr[t] = np.argmax(scores, axis=0)
+        delta = scores[backptr[t], np.arange(k)] + emissions[t]
+    path = [int(np.argmax(delta + p.end.value[:, 0]))]
+    for t in range(n - 1, 0, -1):
+        path.append(int(backptr[t, path[-1]]))
+    return path[::-1]
 
 
 def brute_force_paths(n, k):
@@ -111,17 +194,18 @@ class TestLogPartition:
 
 class TestNllAndGrads:
     def test_d_emission_rows_sum_to_zero(self):
-        emissions, p = random_instance(5, n=4, k=3)
-        _, d_em = crf_nll_and_grads(emissions, [0, 2, 1, 1], p)
+        ems, gold, p = random_batch(5, [4, 1, 3])
+        _, d_em = packed_nll(ems, gold, p)
+        assert d_em.shape == (8, 3)
         assert np.max(np.abs(d_em.sum(axis=1))) < 1e-12
 
     def test_overwhelming_gold_nll_vanishes(self):
         p = crf_params(3)
-        gold = [1, 0, 2]
-        em = np.zeros((3, 3))
-        for t, y in enumerate(gold):
-            em[t, y] = 50.0
-        nll, _ = crf_nll_and_grads(em, gold, p)
+        gold = [[1, 0, 2], [2], [0, 0]]
+        ems = [np.zeros((len(g), 3)) for g in gold]
+        for em, g in zip(ems, gold):
+            em[np.arange(len(g)), g] = 50.0
+        nll, _ = packed_nll(ems, gold, p)
         assert 0.0 <= nll < 1e-10
 
     def test_nll_nonnegative(self):
@@ -129,21 +213,22 @@ class TestNllAndGrads:
             emissions, p = random_instance(seed)
             rng = Rng(seed + 1000)
             gold = [rng.below(p.n_tags) for _ in range(emissions.shape[0])]
-            nll, _ = crf_nll_and_grads(emissions, gold, p)
+            nll, _ = packed_nll([emissions], [gold], p)
+            assert nll >= -1e-9
+            ems, golds, q = random_batch(seed, [1 + rng.below(4) for _ in range(3)])
+            nll, _ = packed_nll(ems, golds, q)
             assert nll >= -1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_grads_match_finite_differences(self, seed):
-        emissions, p = random_instance(seed, n=3, k=3)
-        rng = Rng(seed + 77)
-        gold = [rng.below(3) for _ in range(3)]
+        ems, gold, p = random_batch(seed, [3, 1, 2])
 
         def nll_only():
             q = crf_params(3)
             q.trans.value[...] = p.trans.value
             q.start.value[...] = p.start.value
             q.end.value[...] = p.end.value
-            val, _ = crf_nll_and_grads(emissions, gold, q)
+            val, _ = packed_nll(ems, gold, q)
             return val
 
         def close(a, numeric):
@@ -153,13 +238,7 @@ class TestNllAndGrads:
             return (abs(a - numeric) / max(1e-8, abs(a) + abs(numeric)) < 1e-6
                     or abs(a - numeric) < 1e-8)
 
-        for t in p.params():
-            t.grad[...] = 0.0
-        _, d_em = crf_nll_and_grads(emissions, gold, p)
-        eps = 1e-6
-        for tensor in p.params():
-            flat = tensor.value.reshape(-1)
-            aflat = tensor.grad.reshape(-1)
+        def check(flat, aflat):
             for c in range(flat.size):
                 orig = flat[c]
                 flat[c] = orig + eps
@@ -169,28 +248,111 @@ class TestNllAndGrads:
                 flat[c] = orig
                 numeric = (lp - lm) / (2.0 * eps)
                 assert close(float(aflat[c]), numeric)
-        flat = emissions.reshape(-1)
-        for c in range(flat.size):
-            orig = flat[c]
-            flat[c] = orig + eps
-            lp = nll_only()
-            flat[c] = orig - eps
-            lm = nll_only()
-            flat[c] = orig
-            numeric = (lp - lm) / (2.0 * eps)
-            assert close(float(d_em.reshape(-1)[c]), numeric)
+
+        for t in p.params():
+            t.grad[...] = 0.0
+        _, d_em = packed_nll(ems, gold, p)
+        eps = 1e-6
+        for tensor in p.params():
+            check(tensor.value.reshape(-1), tensor.grad.reshape(-1))
+        row = 0
+        for em in ems:
+            check(em.reshape(-1), d_em[row: row + em.shape[0]].reshape(-1))
+            row += em.shape[0]
 
     def test_scale_applies_to_all_grads(self):
-        emissions, p = random_instance(9, n=3, k=2)
-        gold = [0, 1, 0]
-        _, d1 = crf_nll_and_grads(emissions.copy(), gold, p)
+        ems, gold, p = random_batch(9, [3, 2], k=2)
+        _, d1 = packed_nll(ems, gold, p)
         g1 = [t.grad.copy() for t in p.params()]
         for t in p.params():
             t.grad[...] = 0.0
-        _, d2 = crf_nll_and_grads(emissions.copy(), gold, p, scale=0.25)
+        _, d2 = packed_nll(ems, gold, p, scale=0.25)
         for t, g in zip(p.params(), g1):
             assert np.allclose(t.grad, 0.25 * g, atol=1e-15)
         assert np.allclose(d2, 0.25 * d1, atol=1e-15)
+
+    def test_bad_gold_tag_names_sentence_and_position(self):
+        ems, gold, p = random_batch(3, [2, 4, 1])
+        gold[1][2] = 3
+        with pytest.raises(ContractError, match=r"tag id 3 at sentence 1, position 2,"):
+            packed_nll(ems, gold, p)
+        gold[1][2] = 0
+        gold[2][0] = -1
+        with pytest.raises(ContractError, match=r"tag id -1 at sentence 2, position 0,"):
+            packed_nll(ems, gold, p)
+
+    def test_shape_mismatches_rejected(self):
+        ems, gold, p = random_batch(3, [2, 3])
+        em, flat = np.vstack(ems), [t for g in gold for t in g]
+        with pytest.raises(ShapeError, match="5 emission rows vs 4 tags"):
+            batch_nll_and_grads(em, flat[:4], pack([2, 3]), pack([2, 3], True), p)
+        with pytest.raises(ShapeError, match="packing has 4"):
+            batch_nll_and_grads(em, flat, pack([2, 2]), pack([2, 3], True), p)
+        with pytest.raises(ShapeError, match="params have 3"):
+            batch_nll_and_grads(em[:, :2], flat, pack([2, 3]), pack([2, 3], True), p)
+
+
+# Ragged batches: 1-token sentences, equal lengths, a single sentence, ties in
+# length, and a long one beside short ones.
+BATCHES = [[1, 1, 1], [4, 4, 4], [5], [3, 1, 4, 2, 4], [7, 1, 2]]
+
+
+class TestPackedAgainstOracle:
+    @pytest.mark.parametrize("lengths", BATCHES)
+    def test_forward_backward(self, lengths):
+        ems, _, p = random_batch(len(lengths), lengths, k=4)
+        log_z, alphas, betas = forward_backward(np.vstack(ems), pack(lengths),
+                                                pack(lengths, reverse=True), p)
+        assert log_z.shape == (len(lengths),)
+        row = 0
+        for i, em in enumerate(ems):
+            lz, a, b = oracle_log_partition(em, p)
+            n = em.shape[0]
+            assert abs(log_z[i] - lz) < 1e-12
+            assert np.max(np.abs(alphas[row: row + n] - a)) < 1e-12
+            assert np.max(np.abs(betas[row: row + n] - b)) < 1e-12
+            row += n
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    @pytest.mark.parametrize("lengths", BATCHES)
+    def test_nll_and_grads(self, lengths, scale):
+        ems, gold, p = random_batch(7 + len(lengths), lengths, k=4)
+        nll, d_em = packed_nll(ems, gold, p, scale)
+        got = [t.grad.copy() for t in p.params()]
+        for t in p.params():
+            t.grad[...] = 0.0
+        want_nll = 0.0
+        want_d = []
+        for em, g in zip(ems, gold):
+            v, d = oracle_nll_and_grads(em, g, p, scale)
+            want_nll += v
+            want_d.append(d)
+        assert abs(nll - want_nll) < 1e-12
+        assert np.max(np.abs(d_em - np.vstack(want_d))) < 1e-12
+        for t, g in zip(p.params(), got):
+            assert np.max(np.abs(t.grad - g)) < 1e-12, t.name
+
+
+class TestBatchViterbi:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("lengths", BATCHES)
+    def test_equals_each_sentence_alone_under_ties(self, lengths, seed):
+        ems, _, p = random_batch(seed, lengths, k=3, half_steps=True)
+        paths = batch_viterbi(np.vstack(ems), pack(lengths), p).tolist()
+        row = 0
+        for em in ems:
+            n = em.shape[0]
+            alone = batch_viterbi(em, pack([n]), p).tolist()
+            assert paths[row: row + n] == alone == oracle_viterbi(em, p)
+            row += n
+
+    def test_all_ties_pick_tag_zero(self):
+        paths = batch_viterbi(np.zeros((6, 3)), pack([2, 3, 1]), crf_params(3))
+        assert paths.tolist() == [0] * 6
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="packing has 4"):
+            batch_viterbi(np.zeros((5, 2)), pack([2, 2]), crf_params(2))
 
 
 class TestViterbi:

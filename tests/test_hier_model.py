@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hierex.hier_model import DocForward, HierConfig, HierModel, expected_param_count
-from hierex.linalg import ContractError, Rng
+from hierex.crf import viterbi
+from hierex.linalg import ContractError, Rng, glorot_init
 from hierex.nn import grad_check
 
 TOY = dict(vocab_size=20, embed_dim=4, sent_hidden=3, doc_hidden=3,
@@ -82,12 +83,12 @@ class TestForwardShapes:
         id_seqs = [[0] * n for n in lens]
         fwd = model.forward_document(id_seqs)
         h2, d2 = 2 * TOY["sent_hidden"], 2 * TOY["doc_hidden"]
-        assert [u.shape for u in fwd.token_reps] == [(n, h2) for n in lens]
+        assert [u.shape for u in fwd.split(fwd.token_rows)] == [(n, h2) for n in lens]
         assert fwd.sent_vecs.shape == (3, h2)
         assert fwd.doc_vecs.shape == (3, d2)
         assert fwd.class_logits.shape == (3, TOY["class_count"])
-        assert [f.shape for f in fwd.feats] == [(n, h2 + d2) for n in lens]
-        assert [e.shape for e in fwd.emissions] == [(n, TOY["tag_count"]) for n in lens]
+        assert [f.shape for f in fwd.split(fwd.feat_rows)] == [(n, h2 + d2) for n in lens]
+        assert [e.shape for e in fwd.split(fwd.emission_rows)] == [(n, TOY["tag_count"]) for n in lens]
 
     def test_empty_document_rejected(self):
         with pytest.raises(ContractError):
@@ -103,14 +104,14 @@ class TestForwardShapes:
         model = toy_model()
         a = model.forward_document([[1, 2, 3], [4, 5]])
         b = model.forward_document([[1, 2, 3], [6, 7, 8, 9]])
-        assert np.array_equal(a.token_reps[0], b.token_reps[0])
-        assert not np.array_equal(a.emissions[0], b.emissions[0])
+        assert np.array_equal(a.token_rows[:3], b.token_rows[:3])
+        assert not np.array_equal(a.emission_rows[:3], b.emission_rows[:3])
 
     def test_doc_context_reaches_every_token(self):
         model = toy_model()
         fwd = model.forward_document([[1, 2, 3], [4, 5]])
         h2 = 2 * TOY["sent_hidden"]
-        for i, f in enumerate(fwd.feats):
+        for i, f in enumerate(fwd.split(fwd.feat_rows)):
             for t in range(f.shape[0]):
                 assert np.array_equal(f[t, h2:], fwd.doc_vecs[i])
 
@@ -122,13 +123,11 @@ class TestAblation:
         ids = [[1, 2, 3], [4, 5]]
         ff, fc = full.forward_document(ids), cut.forward_document(ids)
         h2 = 2 * TOY["sent_hidden"]
-        for f in fc.feats:
-            assert np.all(f[:, h2:] == 0.0)
-        for uf, uc in zip(ff.token_reps, fc.token_reps):
-            assert np.array_equal(uf, uc)
+        assert np.all(fc.feat_rows[:, h2:] == 0.0)
+        assert np.array_equal(ff.token_rows, fc.token_rows)
         # The sentence classifier still sees document context either way.
         assert np.array_equal(ff.class_logits, fc.class_logits)
-        assert not np.array_equal(ff.emissions[0], fc.emissions[0])
+        assert not np.array_equal(ff.emission_rows[:3], fc.emission_rows[:3])
 
 
 class TestJointLoss:
@@ -235,14 +234,31 @@ class TestPredict:
         model = toy_model(seed=9)
         doc = [[1, 2, 3], [4], [5, 6, 7]]
         fresh = model.predict_document(doc)
-        fresh_em = model.forward_document(doc).emissions
+        fresh_em = model.forward_document(doc).emission_rows
         for other in ([[8, 9]], [[1] * 7, [2, 3], [4]], [[5]]):
             model.predict_document(other)
             again = model.predict_document(doc)
             assert again[0] == fresh[0] and again[1] == fresh[1]
             assert again[2].tobytes() == fresh[2].tobytes()
-            em = model.forward_document(doc).emissions
-            assert [e.tobytes() for e in em] == [e.tobytes() for e in fresh_em]
+            em = model.forward_document(doc).emission_rows
+            assert em.tobytes() == fresh_em.tobytes()
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_paths_equal_each_sentence_decoded_alone(self, ties):
+        model = toy_model(seed=9)
+        trans = glorot_init(5, 5, Rng(4)) * 2.0
+        if ties:
+            # Every emission row is [.5, 0, .5, .5, 0] and every transition
+            # a multiple of 0.5, so Viterbi meets ties.
+            model.emit_w.value[...] = 0.0
+            model.emit_b.value[:, 0] = [0.5, 0.0, 0.5, 0.5, 0.0]
+            trans = np.round(2.0 * trans) / 2.0
+        model.crf.trans.value[...] = trans
+        doc = [[1, 2, 3], [4], [5, 6, 7, 8], [9, 10, 11], [12, 13]]
+        tag_ids, _, _ = model.predict_document(doc)
+        fwd = model.forward_document(doc)
+        alone = [viterbi(em, model.crf)[0] for em in fwd.split(fwd.emission_rows)]
+        assert tag_ids == alone
 
     def test_paths_align_and_probs_normalize(self):
         model = toy_model(seed=9)
@@ -264,5 +280,5 @@ class TestPredict:
         soft = toy_model("softmax", seed=12)
         hard = toy_model("crf", seed=12)
         ids = [[1, 2, 3]]
-        assert np.array_equal(soft.forward_document(ids).emissions[0],
-                              hard.forward_document(ids).emissions[0])
+        assert np.array_equal(soft.forward_document(ids).emission_rows,
+                              hard.forward_document(ids).emission_rows)

@@ -57,6 +57,13 @@ class TestEmbedding:
         with pytest.raises(ContractError, match="id 5"):
             embed_forward([0, 5], table)
 
+    def test_out_of_range_names_first_position(self):
+        table = ParamTensor("e", np.zeros((3, 2)))
+        with pytest.raises(ContractError, match=r"id 7 at position 2 out of range \[0, 3\)"):
+            embed_forward([0, 1, 7, 2, -1], table)
+        with pytest.raises(ContractError, match="id -1 at position 1 "):
+            embed_forward([2, -1, 9], table)
+
     def test_backward_accumulates_repeats(self):
         # Scatter-add oracle by finite differences on a 3x2 table.
         rng = Rng(2)
