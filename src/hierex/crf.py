@@ -8,14 +8,16 @@ sentences of one document, in one Python time loop. The batch uses the
 packed layout of ``nn.pack`` (longest first, time-major, no padding), so
 the sequences still running at step t are a prefix of those at step t-1
 and a step reads its predecessors as one contiguous block. The model
-passes the two packings its sentence BiGRU already built for the same
-lengths. Alphas run over the forward packing and betas over the reversed
-one, where step t of a sequence of length L is its row L-1-t and the step
-before it is the row after; one step of the loop advances both. Unary and
-pairwise marginals, the gold score and every CRF gradient are then
-computed for all rows at once. All arithmetic inside the loops is
-elementwise per sequence, and maxima are exact, so a decoded path does not
-depend on what it is batched with. ``crf_log_partition`` and ``viterbi``
+passes the packing its sentence BiGRU already built for the same lengths.
+Alphas run over its forward row order and betas over its reversed one,
+where step t of a sequence of length L is its row L-1-t and the step
+before it is the row after; one step of the loop advances both. Unary
+marginals, the gold score and every CRF gradient are then computed for
+all rows at once. The pairwise marginals are only needed summed over the
+rows, and that sum factors into one K x K product of two N x K row
+factors, so no N x K x K tensor is built. All arithmetic inside the loops
+is elementwise per sequence, and maxima are exact, so a decoded path does
+not depend on what it is batched with. ``crf_log_partition`` and ``viterbi``
 are the same kernels on a batch of one.
 
 Ties at every argmax break toward the smaller tag id, and ``viterbi``'s
@@ -58,15 +60,14 @@ def crf_params(n_tags: int, prefix: str = "crf") -> CrfParams:
     )
 
 
-def _check(emissions: Matrix, p: CrfParams, *packings: Packing) -> None:
+def _check(emissions: Matrix, p: CrfParams, packing: Packing | None = None) -> None:
     n, k = emissions.shape
     if n < 1:
         raise ContractError("crf: empty emission sequence")
     if k != p.n_tags:
         raise ShapeError(f"crf: emissions have {k} tags, params have {p.n_tags}")
-    for packing in packings:
-        if packing.rows.size != n:
-            raise ShapeError(f"crf: {n} emission rows, packing has {packing.rows.size}")
+    if packing is not None and packing.rows.shape[1] != n:
+        raise ShapeError(f"crf: {n} emission rows, packing has {packing.rows.shape[1]}")
 
 
 def _first_bad_tag(tags: list[int], n: int, k: int) -> tuple[np.ndarray, int | None]:
@@ -97,36 +98,37 @@ def _lengths(packing: Packing) -> np.ndarray:
     return np.searchsorted(packing.offsets, packing.last, side="right")
 
 
-def forward_backward(emissions: Matrix, fwd: Packing, bwd: Packing, p: CrfParams
+def forward_backward(emissions: Matrix, packing: Packing, p: CrfParams
                      ) -> tuple[np.ndarray, Matrix, Matrix]:
     """Forward and backward recursions in log space over a packed batch.
 
     ``emissions`` holds the sequences' rows back to back in input order;
-    ``fwd`` and ``bwd`` are ``pack(lengths)`` and ``pack(lengths,
-    reverse=True)``. Returns each sequence's log-partition (in input
-    order) and the alphas and betas in the row order of ``emissions``.
+    ``packing`` is ``pack(lengths)``. Returns each sequence's log-partition
+    (in input order) and the alphas and betas in the row order of
+    ``emissions``.
     alpha[t][k] includes the emission at t; beta[t][k] excludes it, so the
     unary marginal at (t, k) is exp(alpha[t][k] + beta[t][k] - logZ).
     """
-    _check(emissions, p, fwd, bwd)
+    _check(emissions, p, packing)
     n, k = emissions.shape
     trans = p.trans.value
     end = p.end.value[:, 0]
-    # Plane 0 of y is alpha over the forward packing; plane 1 is
-    # emission + beta over the reversed one, the quantity the next step of
+    counts, offsets = packing.counts, packing.offsets
+    # Plane 0 of y is alpha over the forward rows; plane 1 is
+    # emission + beta over the reversed ones, the quantity the next step of
     # the recursion reads. Both are log-sum-exps over the first tag axis:
     # alpha_t[j] = lse_i(alpha_{t-1}[i] + trans[i, j]) + e_t[j] and
     # beta_t[i] = lse_j(trans.T[j, i] + (e + beta)_{t+1}[j]).
-    e = emissions[np.stack([fwd.rows, bwd.rows])]
+    e = emissions[packing.rows]
     mats = np.stack([trans, trans.T])[:, None]
     y = np.empty((2, n, k))
     betas_p = np.empty((n, k))
-    c = fwd.counts[0]
+    c = counts[0]
     y[0, :c] = p.start.value[:, 0] + e[0, :c]
     betas_p[:c] = end
     y[1, :c] = end + e[1, :c]
-    for t in range(1, len(fwd.counts)):
-        c, s, ps = fwd.counts[t], fwd.offsets[t], fwd.offsets[t - 1]
+    for t in range(1, len(counts)):
+        c, s, ps = counts[t], offsets[t], offsets[t - 1]
         x = y[:, ps: ps + c, :, None] + mats
         m = x.max(axis=2)
         x -= m[:, :, None]
@@ -137,43 +139,43 @@ def forward_backward(emissions: Matrix, fwd: Packing, bwd: Packing, p: CrfParams
         betas_p[s: s + c] = lse[1]
         np.add(lse, e[:, s: s + c], out=y[:, s: s + c])
 
-    log_z = logsumexp(y[0, fwd.last] + end, axis=1)
+    log_z = logsumexp(y[0, packing.last] + end, axis=1)
     alphas = np.empty((n, k))
-    alphas[fwd.rows] = y[0]
+    alphas[packing.rows[0]] = y[0]
     betas = np.empty((n, k))
-    betas[bwd.rows] = betas_p
+    betas[packing.rows[1]] = betas_p
     return log_z, alphas, betas
 
 
 def crf_log_partition(emissions: Matrix, p: CrfParams) -> tuple[float, Matrix, Matrix]:
     """Log-partition of one sequence, with its alphas and betas."""
     n = emissions.shape[0]
-    log_z, alphas, betas = forward_backward(emissions, pack([n]), pack([n], reverse=True), p)
+    log_z, alphas, betas = forward_backward(emissions, pack([n]), p)
     return float(log_z[0]), alphas, betas
 
 
-def batch_nll_and_grads(emissions: Matrix, gold_tags: list[int], fwd: Packing, bwd: Packing,
+def batch_nll_and_grads(emissions: Matrix, gold_tags: list[int], packing: Packing,
                         p: CrfParams, scale: float = 1.0) -> tuple[float, Matrix]:
     """Negative log-likelihood, summed over a packed batch of sequences
     (the sentences of a document), and its gradients.
 
     ``emissions`` and ``gold_tags`` hold every row of the batch back to
-    back in input order; ``fwd`` and ``bwd`` are as in
-    ``forward_backward``. Returns (nll, d_emissions) and accumulates scale
-    * grad into the CRF parameter grads. d_emissions[t][k] = P(y_t = k) -
-    1{gold_t = k}; the transition gradient is the pairwise marginals minus
-    the gold transition counts, over every adjacent pair of every sequence.
+    back in input order; ``packing`` is as in ``forward_backward``.
+    Returns (nll, d_emissions) and accumulates scale * grad into the CRF
+    parameter grads. d_emissions[t][k] = P(y_t = k) - 1{gold_t = k}; the
+    transition gradient is the pairwise marginals minus the gold transition
+    counts, over every adjacent pair of every sequence.
     """
-    _check(emissions, p, fwd, bwd)
+    _check(emissions, p, packing)
     n, k = emissions.shape
-    lengths = _lengths(fwd)
+    lengths = _lengths(packing)
     starts = np.cumsum(lengths) - lengths
     g, bad = _first_bad_tag(gold_tags, n, k)
     if bad is not None:
         i = int(np.searchsorted(starts, bad, side="right")) - 1
         raise ContractError(f"crf: tag id {g[bad]} at sentence {i}, position "
                             f"{bad - starts[i]}, out of range [0, {k})")
-    log_z, alphas, betas = forward_backward(emissions, fwd, bwd, p)
+    log_z, alphas, betas = forward_backward(emissions, packing, p)
     lasts = starts + lengths - 1
     later = np.ones(n, dtype=bool)
     later[starts] = False
@@ -192,12 +194,21 @@ def batch_nll_and_grads(emissions: Matrix, gold_tags: list[int], fwd: Packing, b
     unary -= row_log_z[:, None]
     np.exp(unary, out=unary)  # n x k marginals
 
-    pair = alphas[prev][:, :, None] + trans
-    pair += (emissions[cur] + betas[cur])[:, None, :]
-    pair -= row_log_z[cur][:, None, None]
-    np.exp(pair, out=pair)
-    d_trans = pair.sum(axis=0)
-    del pair
+    # Summed over rows, the pairwise marginal exp(a[i] + trans[i, j] + b[j]
+    # - logZ) is exp(trans - min trans) * (A.T @ B), where row r of B is
+    # exp(b_r - max b_r) and row r of A is exp(a_r - max a_r) times
+    # exp(max a_r + max b_r + min trans - logZ_r) <= 1; no factor overflows.
+    a = alphas[prev]
+    b = emissions[cur] + betas[cur]
+    t_min = trans.min()
+    a_max = a.max(axis=1, keepdims=True)
+    b_max = b.max(axis=1, keepdims=True)
+    a -= a_max
+    np.exp(a, out=a)
+    a *= np.exp(a_max + b_max + t_min - row_log_z[cur][:, None])
+    b -= b_max
+    np.exp(b, out=b)
+    d_trans = np.exp(trans - t_min) * (a.T @ b)
     d_trans -= np.bincount(g[prev] * k + g[cur], minlength=k * k).reshape(k, k)
     p.trans.grad += scale * d_trans
     p.start.grad[:, 0] += scale * (unary[starts].sum(axis=0)
@@ -212,22 +223,22 @@ def batch_nll_and_grads(emissions: Matrix, gold_tags: list[int], fwd: Packing, b
     return nll, d_emissions
 
 
-def batch_viterbi(emissions: Matrix, fwd: Packing, p: CrfParams) -> np.ndarray:
+def batch_viterbi(emissions: Matrix, packing: Packing, p: CrfParams) -> np.ndarray:
     """Highest-scoring tag path of every sequence of a packed batch, via
     max-product with backpointers.
 
     ``emissions`` holds the sequences' rows back to back in input order and
-    ``fwd`` is their forward packing. Returns the tag of every row, in the
+    ``packing`` is their packing. Returns the tag of every row, in the
     same order. np.argmax returns the first maximum, which is exactly the
     smallest-id tie rule.
     """
-    _check(emissions, p, fwd)
+    _check(emissions, p, packing)
     n, k = emissions.shape
     trans = p.trans.value
     end = p.end.value[:, 0]
-    counts, offsets = fwd.counts, fwd.offsets
+    counts, offsets = packing.counts, packing.offsets
 
-    e = emissions[fwd.rows]
+    e = emissions[packing.rows[0]]
     delta = np.empty((n, k))
     backptr = np.empty((n, k), dtype=np.intp)
     delta[: counts[0]] = p.start.value[:, 0] + e[: counts[0]]
@@ -252,7 +263,7 @@ def batch_viterbi(emissions: Matrix, fwd: Packing, p: CrfParams) -> np.ndarray:
         c_next, s_next = c, s
 
     out = np.empty(n, dtype=np.intp)
-    out[fwd.rows] = path
+    out[packing.rows[0]] = path
     return out
 
 

@@ -103,7 +103,7 @@ class DocForward:
     class_logits: Matrix            # m x C
     feat_rows: Matrix               # T x (2H+2D)
     emission_rows: Matrix           # T x K
-    sent_cache: BiGruCache = field(repr=False)  # its packings also drive the CRF
+    sent_cache: BiGruCache = field(repr=False)  # its packing also drives the CRF
     doc_cache: BiGruCache = field(repr=False)
 
     @property
@@ -195,10 +195,8 @@ class HierModel:
         inv_tok = 1.0 / len(gold)
 
         if self.crf is not None:
-            packs = fwd.sent_cache
             tag_nll, d_em = crf_mod.batch_nll_and_grads(
-                fwd.emission_rows, gold, packs.fwd.packing, packs.bwd.packing, self.crf,
-                scale=inv_tok)
+                fwd.emission_rows, gold, fwd.sent_cache.packing, self.crf, scale=inv_tok)
         else:
             tag_nll, d_em = softmax_ce(fwd.emission_rows, gold)
             d_em *= inv_tok
@@ -245,8 +243,7 @@ class HierModel:
         """
         fwd = self.forward_document(id_seqs)
         if self.crf is not None:
-            tags = crf_mod.batch_viterbi(fwd.emission_rows, fwd.sent_cache.fwd.packing,
-                                         self.crf)
+            tags = crf_mod.batch_viterbi(fwd.emission_rows, fwd.sent_cache.packing, self.crf)
         else:
             tags = np.argmax(fwd.emission_rows, axis=1)
         tags = tags.tolist()

@@ -4,6 +4,13 @@ No autodiff tape: every layer saves exactly what its backward pass needs and
 the caller drives backpropagation in reverse order. Gradients are pure
 accumulations into each parameter's ``grad`` buffer -- running backward twice
 without zeroing doubles every gradient, and ``zero_grads`` is the only reset.
+
+The bidirectional GRU runs a batch of ragged sequences packed by ``pack``
+(longest first, time-major, no padding), and both directions advance in
+one step loop: their gates and states are stacked as two planes, and each
+step makes one batched GEMM per gate group against the two cells' stacked
+``U`` blocks. Each plane's arithmetic is that of a one-direction loop, so
+the result does not depend on the other direction.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ def embed_backward(ids: list[int], d_out: Matrix, table: ParamTensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# GRU cell and packed sequence runner
+# GRU cell and packed layout
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -112,146 +119,65 @@ def gru_cell(prefix: str, input_dim: int, hidden: int, rng: Rng | None) -> GruCe
 
 @dataclass
 class Packing:
-    """Time-major layout of a batch of ragged sequences, with no padding.
+    """Time-major layout of a batch of ragged sequences, with no padding,
+    read in both directions.
 
     The sequences are ordered longest first, ties in input order, so the
     ones still running at step t are always a prefix of that order: step t
     owns the packed rows ``offsets[t] : offsets[t] + counts[t]``. Packed row
-    p reads row ``rows[p]`` of the concatenated input, and ``last[i]`` is
-    the packed row of input sequence i's final step.
+    p reads row ``rows[0, p]`` of the concatenated input going forward and
+    row ``rows[1, p]`` going backward, where step t of a sequence of length
+    L is its row L-1-t. ``last[i]`` is the packed row of input sequence i's
+    final step, in both directions.
     """
 
     counts: list[int]
     offsets: list[int]
-    rows: np.ndarray
+    rows: np.ndarray    # 2 x N: [forward ; reversed]
     last: np.ndarray
 
 
-def pack(lengths: list[int], reverse: bool = False) -> Packing:
+def pack(lengths: list[int]) -> Packing:
     """Pack sequences of the given lengths, stored back to back in input
-    order. With ``reverse`` every sequence is read last row first."""
-    if not lengths or min(lengths) < 1:
+    order, for reading forward and for reading each one last row first."""
+    if not len(lengths) or min(lengths) < 1:
         raise ContractError(f"pack: lengths must be a non-empty list of integers >= 1, "
                             f"got {list(lengths)}")
-    starts = list(accumulate(lengths, initial=0))
     order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
-    counts: list[int] = []
-    offsets: list[int] = []
-    rows: list[int] = []
-    for t in range(lengths[order[0]]):
-        offsets.append(len(rows))
-        for i in order:
-            if lengths[i] <= t:
-                break
-            rows.append(starts[i] + lengths[i] - 1 - t if reverse else starts[i] + t)
-        counts.append(len(rows) - offsets[-1])
-    last = [0] * len(lengths)
-    for j, i in enumerate(order):
-        last[i] = offsets[lengths[i] - 1] + j
-    return Packing(counts, offsets, np.array(rows, dtype=np.intp),
-                   np.array(last, dtype=np.intp))
-
-
-@dataclass
-class GruCache:
-    """What one packed GRU pass keeps for its backward pass."""
-
-    packing: Packing
-    xs: Matrix          # the input, not copied: it must not change before backward
-    h_prev: Matrix      # N x H, packed: the state entering each row's step
-    gates: Matrix       # N x 3H, packed: [r ; z ; hh]
-
-
-def gru_forward(cell: GruCell, xs: Matrix, packing: Packing
-                ) -> tuple[Matrix, Matrix, GruCache]:
-    """Run the cell over every sequence of a packed batch, each from a zero
-    initial state.
-
-    ``xs`` holds the sequences' rows back to back in input order. All input
-    projections are one GEMM before the loop; each step is one GEMM for the
-    r and z gates and one for the candidate, over the rows still running.
-    Returns the hidden states in the row order of xs, each sequence's final
-    state (one row per sequence, in input order), and the cache for
-    ``gru_backward``.
-    """
-    hdim = cell.hidden
-    u = cell.u.value
-    u_rzT, u_hT = u[: 2 * hdim].T, u[2 * hdim:].T
-    # The input projections; each step overwrites its rows with the gates.
-    gates = xs[packing.rows] @ cell.w.value.T
-    gates += cell.b.value[:, 0]
-    hs = np.empty((gates.shape[0], hdim))
-    hp = np.empty_like(hs)
-
-    h = np.zeros((packing.counts[0], hdim))
-    for n, s in zip(packing.counts, packing.offsets):
-        h_prev = hp[s: s + n]
-        h_prev[...] = h[:n]
-        g = gates[s: s + n]
-        rz = g[:, : 2 * hdim]
-        rz[...] = sigmoid(rz + h_prev @ u_rzT)
-        hh = g[:, 2 * hdim:]
-        hh += (rz[:, :hdim] * h_prev) @ u_hT
-        np.tanh(hh, out=hh)
-        z = rz[:, hdim:]
-        h = hs[s: s + n]
-        h[...] = (1.0 - z) * h_prev + z * hh
-
-    out = np.empty_like(hs)
-    out[packing.rows] = hs
-    return out, hs[packing.last], GruCache(packing, xs, hp, gates)
-
-
-def gru_backward(cell: GruCell, cache: GruCache, d_hs: Matrix,
-                 d_last: Matrix | None = None) -> Matrix:
-    """Full BPTT over a packed batch.
-
-    ``d_hs`` holds the upstream gradient of every hidden state returned by
-    ``gru_forward``, in the same row order; ``d_last`` is an extra gradient
-    on each sequence's final state. Accumulates all cell grads and returns
-    d_xs in the row order of the forward input.
-    """
-    hdim = cell.hidden
-    packing = cache.packing
-    u = cell.u.value
-    u_rz, u_h = u[: 2 * hdim], u[2 * hdim:]
-    dp = d_hs[packing.rows]
-    if d_last is not None:
-        dp[packing.last] += d_last
-    da = np.empty((dp.shape[0], 3 * hdim))  # packed [da_r ; da_z ; da_h]
-
-    dh = np.zeros((0, hdim))
-    for n, s in zip(reversed(packing.counts), reversed(packing.offsets)):
-        dht = dp[s: s + n]
-        dht[: dh.shape[0]] += dh
-        h_prev = cache.h_prev[s: s + n]
-        g = cache.gates[s: s + n]
-        r, z, hh = g[:, :hdim], g[:, hdim: 2 * hdim], g[:, 2 * hdim:]
-        a = da[s: s + n]
-        a[:, 2 * hdim:] = dht * z * (1.0 - hh * hh)
-        d_rh = a[:, 2 * hdim:] @ u_h
-        a[:, :hdim] = d_rh * h_prev * (r * (1.0 - r))
-        a[:, hdim: 2 * hdim] = dht * (hh - h_prev) * (z * (1.0 - z))
-        dh = dht * (1.0 - z) + d_rh * r + a[:, : 2 * hdim] @ u_rz
-
-    cell.w.grad += da.T @ cache.xs[packing.rows]
-    cell.b.grad[:, 0] += da.sum(axis=0)
-    cell.u.grad[: 2 * hdim] += da[:, : 2 * hdim].T @ cache.h_prev
-    cell.u.grad[2 * hdim:] += da[:, 2 * hdim:].T @ (cache.gates[:, :hdim] * cache.h_prev)  # rh
-
-    out = np.empty_like(cache.xs)
-    out[packing.rows] = da @ cell.w.value
-    return out
+    ends = [0] * lengths[order[0]]  # sequences whose last step is t
+    for n in lengths:
+        ends[n - 1] += 1
+    counts = list(accumulate(reversed(ends)))[::-1]  # sequences longer than t
+    offsets = list(accumulate(counts[:-1], initial=0))
+    lens, order_a, offsets_a = (np.array(v, dtype=np.intp) for v in (lengths, order, offsets))
+    step = np.repeat(np.arange(len(counts)), counts)  # of each packed row
+    seq = order_a[np.arange(step.size) - offsets_a[step]]
+    first = (np.cumsum(lens) - lens)[seq]
+    rows = np.stack([first + step, first + lens[seq] - 1 - step])
+    last = np.empty_like(lens)
+    last[order_a] = offsets_a[lens[order_a] - 1] + np.arange(lens.size)
+    return Packing(counts, offsets, rows, last)
 
 
 # ---------------------------------------------------------------------------
-# Bidirectional GRU over a batch of sequences
+# Bidirectional GRU over a packed batch of sequences
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BiGruCache:
-    fwd: GruCache
-    bwd: GruCache  # over each sequence read back to front
+    """What one BiGRU pass keeps for its backward pass. Plane 0 of each
+    stacked tensor is the forward direction, plane 1 the backward one."""
+
+    packing: Packing
+    xs: Matrix          # the input, not copied: it must not change before backward
+    states: np.ndarray  # 2 x N x H, packed: the state each row's step leaves
+    gates: np.ndarray   # 2 x N x 3H, packed: [r ; z ; hh]
+
+
+def _stacked_u(fwd: GruCell, bwd: GruCell) -> tuple[np.ndarray, np.ndarray]:
+    """The two cells' U, stacked 2 x 3H x H: its r and z rows, and its h rows."""
+    u = np.stack([fwd.u.value, bwd.u.value])
+    return u[:, : 2 * fwd.hidden], u[:, 2 * fwd.hidden:]
 
 
 def bigru_forward(fwd: GruCell, bwd: GruCell, xs: Matrix, lengths: list[int]
@@ -263,24 +189,110 @@ def bigru_forward(fwd: GruCell, bwd: GruCell, xs: Matrix, lengths: list[int]
     of token_reps is [h_fwd_t ; h_bwd_t], row i of last_fwd is the forward
     state after sequence i's final row and row i of last_bwd is the
     backward state after reading its first row.
+
+    Both directions advance in one step loop over the packed batch. Each
+    direction's input projections are one GEMM before the loop, written
+    into its plane of the gates; each step makes one batched GEMM with the
+    two cells' r and z rows of U and one with their h rows, over the rows
+    still running.
     """
     if xs.shape[0] < 1:
         raise ContractError("bigru_forward: empty sequence")
     if sum(lengths) != xs.shape[0]:
         raise ContractError(f"bigru_forward: lengths sum to {sum(lengths)}, "
                             f"xs has {xs.shape[0]} rows")
-    hs_f, last_f, cache_f = gru_forward(fwd, xs, pack(lengths))
-    hs_b, last_b, cache_b = gru_forward(bwd, xs, pack(lengths, reverse=True))
-    return np.hstack([hs_f, hs_b]), last_f, last_b, BiGruCache(cache_f, cache_b)
+    hdim = fwd.hidden
+    packing = pack(lengths)
+    n = xs.shape[0]
+    # The input projections; each step overwrites its rows with the gates.
+    gates = np.empty((2, n, 3 * hdim))
+    for plane, cell, rows in zip(gates, (fwd, bwd), packing.rows):
+        np.matmul(xs[rows], cell.w.value.T, out=plane)
+        plane += cell.b.value[:, 0]
+    u_rz, u_h = _stacked_u(fwd, bwd)
+    u_rzT, u_hT = u_rz.transpose(0, 2, 1), u_h.transpose(0, 2, 1)
+    states = np.empty((2, n, hdim))
+
+    h = np.zeros((2, packing.counts[0], hdim))
+    for c, s in zip(packing.counts, packing.offsets):
+        h_prev = h[:, :c]  # a view of the previous step's states
+        g = gates[:, s: s + c]
+        rz = g[:, :, : 2 * hdim]
+        rz[...] = sigmoid(rz + h_prev @ u_rzT)
+        hh = g[:, :, 2 * hdim:]
+        hh += (rz[:, :, :hdim] * h_prev) @ u_hT
+        np.tanh(hh, out=hh)
+        z = rz[:, :, hdim:]
+        h = np.multiply(1.0 - z, h_prev, out=states[:, s: s + c])
+        h += z * hh
+
+    reps = np.empty((n, 2 * hdim))
+    reps[packing.rows[0], :hdim] = states[0]
+    reps[packing.rows[1], hdim:] = states[1]
+    last = states[:, packing.last]
+    return reps, last[0], last[1], BiGruCache(packing, xs, states, gates)
 
 
 def bigru_backward(fwd: GruCell, bwd: GruCell, cache: BiGruCache, d_token_reps: Matrix,
                    d_last_fwd: Matrix | None = None,
                    d_last_bwd: Matrix | None = None) -> Matrix:
-    """Backward through both directions; returns d_xs."""
+    """Full BPTT through both directions in one reversed step loop.
+
+    ``d_token_reps`` is the upstream gradient of token_reps; ``d_last_fwd``
+    and ``d_last_bwd`` are extra gradients on each sequence's final states.
+    Accumulates every cell grad and returns d_xs in the row order of the
+    forward input.
+    """
     hdim = fwd.hidden
-    d_xs = gru_backward(fwd, cache.fwd, d_token_reps[:, :hdim], d_last_fwd)
-    d_xs += gru_backward(bwd, cache.bwd, d_token_reps[:, hdim:], d_last_bwd)
+    packing = cache.packing
+    counts, offsets, n = packing.counts, packing.offsets, cache.xs.shape[0]
+    u_rz, u_h = _stacked_u(fwd, bwd)
+    dp = np.empty((2, n, hdim))
+    dp[0] = d_token_reps[packing.rows[0], :hdim]
+    dp[1] = d_token_reps[packing.rows[1], hdim:]
+    if d_last_fwd is not None:
+        dp[0, packing.last] += d_last_fwd
+    if d_last_bwd is not None:
+        dp[1, packing.last] += d_last_bwd
+    da = np.empty((2, n, 3 * hdim))  # packed [da_r ; da_z ; da_h]
+
+    dh = np.zeros((2, 0, hdim))
+    for t in range(len(counts) - 1, -1, -1):
+        c, s = counts[t], offsets[t]
+        dht = dp[:, s: s + c]
+        dht[:, : dh.shape[1]] += dh
+        if t:  # a view of the states the previous step left
+            h_prev = cache.states[:, offsets[t - 1]: offsets[t - 1] + c]
+        else:
+            h_prev = np.zeros((2, c, hdim))
+        g = cache.gates[:, s: s + c]
+        r, z, hh = g[:, :, :hdim], g[:, :, hdim: 2 * hdim], g[:, :, 2 * hdim:]
+        a = da[:, s: s + c]
+        a[:, :, 2 * hdim:] = dht * z * (1.0 - hh * hh)
+        d_rh = a[:, :, 2 * hdim:] @ u_h
+        a[:, :, :hdim] = d_rh * h_prev * (r * (1.0 - r))
+        a[:, :, hdim: 2 * hdim] = dht * (hh - h_prev) * (z * (1.0 - z))
+        dh = dht * (1.0 - z) + d_rh * r + a[:, :, : 2 * hdim] @ u_rz
+    del dp, dht  # freed before the per-direction temporaries below
+
+    # The state entering each packed row's step: zero at step 0, else the
+    # state its sequence left one step earlier, counts[t-1] packed rows
+    # before. Built for one direction at a time, so little is alive beside da.
+    prev = np.arange(counts[0], n) - np.repeat(np.array(counts[:-1], dtype=np.intp),
+                                                 counts[1:])
+    h_prev = np.zeros((n, hdim))
+    for cell, rows, a, states, g in zip((fwd, bwd), packing.rows, da, cache.states,
+                                        cache.gates):
+        h_prev[counts[0]:] = states[prev]
+        cell.w.grad += a.T @ cache.xs[rows]
+        cell.b.grad[:, 0] += a.sum(axis=0)
+        cell.u.grad[: 2 * hdim] += a[:, : 2 * hdim].T @ h_prev
+        cell.u.grad[2 * hdim:] += a[:, 2 * hdim:].T @ (g[:, :hdim] * h_prev)  # rh
+    del h_prev
+
+    d_xs = np.empty_like(cache.xs)
+    d_xs[packing.rows[0]] = da[0] @ fwd.w.value
+    d_xs[packing.rows[1]] += da[1] @ bwd.w.value
     return d_xs
 
 

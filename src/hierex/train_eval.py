@@ -94,22 +94,22 @@ class Adam:
             p.grad[...] = 0.0
 
 
-def clip_global(params: list[ParamTensor], clip_norm: float) -> float:
+def clip_global(params: list[ParamTensor], clip_norm: float) -> tuple[float, float]:
     """Scale all grads so their joint L2 norm is at most clip_norm.
 
-    Returns the factor applied (1.0 when no clipping happened). Never
-    increases any gradient magnitude.
+    Returns the factor applied (1.0 when no clipping happened) and the
+    joint norm before clipping. Never increases any gradient magnitude.
     """
     total = 0.0
     for p in params:
         total += float(np.sum(p.grad * p.grad))
     norm = math.sqrt(total)
     if norm <= clip_norm or norm == 0.0:
-        return 1.0
+        return 1.0, norm
     factor = clip_norm / norm
     for p in params:
         p.grad *= factor
-    return factor
+    return factor, norm
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +215,7 @@ def train(model: HierModel, train_docs: list[Document], dev_docs: list[Document]
         rng.shuffle(order)
         total_loss = 0.0
         clip_factors: list[float] = []
+        grad_norms: list[float] = []
         for lo in range(0, len(order), cfg.batch_docs):
             for j in order[lo: lo + cfg.batch_docs]:
                 doc = train_docs[j]
@@ -224,10 +225,13 @@ def train(model: HierModel, train_docs: list[Document], dev_docs: list[Document]
                 if not math.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}, doc {doc.doc_id}")
                 total_loss += loss
-            clip_factors.append(clip_global(model.params(), cfg.clip_norm))
+            factor, norm = clip_global(model.params(), cfg.clip_norm)
+            clip_factors.append(factor)
+            grad_norms.append(norm)
             opt.step()
         row = {"epoch": epoch, "train_loss": total_loss / len(train_docs),
-               "dev_f1": None, "dev_class_acc": None, "clip_factors": clip_factors}
+               "dev_f1": None, "dev_class_acc": None, "clip_factors": clip_factors,
+               "grad_norms": grad_norms}
         if dev_docs:
             rep = evaluate(model, dev_docs, tag_map)
             row["dev_f1"] = rep.span.micro.f1

@@ -46,7 +46,7 @@ def packed_nll(ems, gold, p, scale=1.0):
     """batch_nll_and_grads on the sentences ``ems`` with gold tag lists ``gold``."""
     lengths = [e.shape[0] for e in ems]
     return batch_nll_and_grads(np.vstack(ems), [t for g in gold for t in g], pack(lengths),
-                               pack(lengths, reverse=True), p, scale)
+                               p, scale)
 
 
 def oracle_log_partition(emissions, p):
@@ -285,11 +285,11 @@ class TestNllAndGrads:
         ems, gold, p = random_batch(3, [2, 3])
         em, flat = np.vstack(ems), [t for g in gold for t in g]
         with pytest.raises(ShapeError, match="5 emission rows vs 4 tags"):
-            batch_nll_and_grads(em, flat[:4], pack([2, 3]), pack([2, 3], True), p)
+            batch_nll_and_grads(em, flat[:4], pack([2, 3]), p)
         with pytest.raises(ShapeError, match="packing has 4"):
-            batch_nll_and_grads(em, flat, pack([2, 2]), pack([2, 3], True), p)
+            batch_nll_and_grads(em, flat, pack([2, 2]), p)
         with pytest.raises(ShapeError, match="params have 3"):
-            batch_nll_and_grads(em[:, :2], flat, pack([2, 3]), pack([2, 3], True), p)
+            batch_nll_and_grads(em[:, :2], flat, pack([2, 3]), p)
 
 
 # Ragged batches: 1-token sentences, equal lengths, a single sentence, ties in
@@ -301,8 +301,7 @@ class TestPackedAgainstOracle:
     @pytest.mark.parametrize("lengths", BATCHES)
     def test_forward_backward(self, lengths):
         ems, _, p = random_batch(len(lengths), lengths, k=4)
-        log_z, alphas, betas = forward_backward(np.vstack(ems), pack(lengths),
-                                                pack(lengths, reverse=True), p)
+        log_z, alphas, betas = forward_backward(np.vstack(ems), pack(lengths), p)
         assert log_z.shape == (len(lengths),)
         row = 0
         for i, em in enumerate(ems):
@@ -317,6 +316,24 @@ class TestPackedAgainstOracle:
     @pytest.mark.parametrize("lengths", BATCHES)
     def test_nll_and_grads(self, lengths, scale):
         ems, gold, p = random_batch(7 + len(lengths), lengths, k=4)
+        self.check_nll_and_grads(ems, gold, p, scale)
+
+    @pytest.mark.parametrize("lengths", BATCHES)
+    def test_extreme_scores(self, lengths):
+        # Emissions of +-300 and transitions spread over 50: the factored
+        # transition gradient neither overflows nor loses the oracle's sum.
+        ems, gold, p = random_batch(20 + len(lengths), lengths, k=4)
+        ems = [np.where(e > 0.0, 300.0, -300.0) - e for e in ems]
+        trans = p.trans.value
+        trans[...] = 50.0 * (trans - trans.min()) / (trans.max() - trans.min()) - 25.0
+        self.check_nll_and_grads(ems, gold, p, 1.0)
+        for t in p.params():
+            assert np.all(np.isfinite(t.grad)), t.name
+
+    @staticmethod
+    def check_nll_and_grads(ems, gold, p, scale):
+        for t in p.params():
+            t.grad[...] = 0.0
         nll, d_em = packed_nll(ems, gold, p, scale)
         got = [t.grad.copy() for t in p.params()]
         for t in p.params():

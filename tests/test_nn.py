@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hierex.linalg import ContractError, Rng, glorot_init, sigmoid
-from hierex.nn import (ParamTensor, bigru_forward, bigru_backward, embed_backward,
-                       embed_forward, grad_check, gru_backward, gru_cell, gru_forward,
-                       pack, param, softmax, softmax_ce, zero_grads)
+from hierex.nn import (ParamTensor, bigru_backward, bigru_forward, embed_backward,
+                       embed_forward, grad_check, gru_cell, pack, param, softmax, softmax_ce,
+                       zero_grads)
 
 
 def central_diff(loss_fn, flat_value, index, eps):
@@ -106,15 +106,18 @@ class TestGruStep:
         # input at step 2 both gates are 1/2 and the candidate is 0.
         cell = gru_cell("g", 2, 2, None)
         cell.w.value[4:] = [[0.8, 0.0], [0.0, -0.4]]
-        hs, last, _ = gru_forward(cell, np.array([[1.0, 1.0], [0.0, 0.0]]), pack([2]))
-        assert np.array_equal(hs[0], 0.5 * np.tanh([0.8, -0.4]))
-        assert np.array_equal(last[0], 0.5 * hs[0])
+        reps, last, _, _ = bigru_forward(cell, gru_cell("z", 2, 2, None),
+                                         np.array([[1.0, 1.0], [0.0, 0.0]]), [2])
+        assert np.array_equal(reps[0, :2], 0.5 * np.tanh([0.8, -0.4]))
+        assert np.array_equal(last[0], 0.5 * reps[0, :2])
+        assert np.all(reps[:, 2:] == 0.0)
 
     def test_zero_fixed_point(self):
         cell = gru_cell("g", 2, 3, None)
-        hs, last, _ = gru_forward(cell, np.zeros((3, 2)), pack([1, 1, 1]))
-        assert np.array_equal(hs, np.zeros((3, 3)))
-        assert np.array_equal(last, np.zeros((3, 3)))
+        reps, last_f, last_b, _ = bigru_forward(cell, cell, np.zeros((3, 2)), [1, 1, 1])
+        assert np.array_equal(reps, np.zeros((3, 6)))
+        assert np.array_equal(last_f, np.zeros((3, 3)))
+        assert np.array_equal(last_b, np.zeros((3, 3)))
 
 
 def stepwise(cell, xs, lengths, reverse=False):
@@ -140,6 +143,83 @@ def stepwise(cell, xs, lengths, reverse=False):
     return out
 
 
+def oracle_pack(lengths, reverse=False):
+    """One direction's packing, one row at a time: (counts, offsets, rows, last)."""
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    counts, offsets, rows = [], [], []
+    for t in range(lengths[order[0]]):
+        offsets.append(len(rows))
+        for i in order:
+            if lengths[i] <= t:
+                break
+            rows.append(starts[i] + lengths[i] - 1 - t if reverse else starts[i] + t)
+        counts.append(len(rows) - offsets[-1])
+    last = [0] * len(lengths)
+    for j, i in enumerate(order):
+        last[i] = offsets[lengths[i] - 1] + j
+    return counts, offsets, rows, last
+
+
+def oracle_gru_forward(cell, xs, lengths, reverse=False):
+    """One direction over the packed batch, the arithmetic of bigru_forward
+    on one plane: states in the row order of xs, final states, and what
+    oracle_gru_backward needs."""
+    counts, offsets, rows, last = oracle_pack(lengths, reverse)
+    hdim = cell.hidden
+    u = cell.u.value
+    gates = xs[rows] @ cell.w.value.T
+    gates += cell.b.value[:, 0]
+    hs = np.empty((gates.shape[0], hdim))
+    hp = np.empty_like(hs)
+    h = np.zeros((counts[0], hdim))
+    for n, s in zip(counts, offsets):
+        h_prev = hp[s: s + n]
+        h_prev[...] = h[:n]
+        g = gates[s: s + n]
+        g[:, : 2 * hdim] = sigmoid(g[:, : 2 * hdim] + h_prev @ u[: 2 * hdim].T)
+        hh = g[:, 2 * hdim:]
+        hh += (g[:, :hdim] * h_prev) @ u[2 * hdim:].T
+        np.tanh(hh, out=hh)
+        z = g[:, hdim: 2 * hdim]
+        h = hs[s: s + n]
+        h[...] = (1.0 - z) * h_prev + z * hh
+    out = np.empty_like(hs)
+    out[rows] = hs
+    return out, hs[last], (counts, offsets, rows, last, hp, gates)
+
+
+def oracle_gru_backward(cell, xs, saved, d_hs, d_last):
+    """One direction's BPTT, the arithmetic of bigru_backward on one plane:
+    accumulates the cell grads and returns this direction's d_xs."""
+    counts, offsets, rows, last, hp, gates = saved
+    hdim = cell.hidden
+    u = cell.u.value
+    dp = d_hs[rows]
+    dp[last] += d_last
+    da = np.empty((dp.shape[0], 3 * hdim))
+    dh = np.zeros((0, hdim))
+    for n, s in zip(reversed(counts), reversed(offsets)):
+        dht = dp[s: s + n]
+        dht[: dh.shape[0]] += dh
+        h_prev = hp[s: s + n]
+        g = gates[s: s + n]
+        r, z, hh = g[:, :hdim], g[:, hdim: 2 * hdim], g[:, 2 * hdim:]
+        a = da[s: s + n]
+        a[:, 2 * hdim:] = dht * z * (1.0 - hh * hh)
+        d_rh = a[:, 2 * hdim:] @ u[2 * hdim:]
+        a[:, :hdim] = d_rh * h_prev * (r * (1.0 - r))
+        a[:, hdim: 2 * hdim] = dht * (hh - h_prev) * (z * (1.0 - z))
+        dh = dht * (1.0 - z) + d_rh * r + a[:, : 2 * hdim] @ u[: 2 * hdim]
+    cell.w.grad += da.T @ xs[rows]
+    cell.b.grad[:, 0] += da.sum(axis=0)
+    cell.u.grad[: 2 * hdim] += da[:, : 2 * hdim].T @ hp
+    cell.u.grad[2 * hdim:] += da[:, 2 * hdim:].T @ (gates[:, :hdim] * hp)
+    out = np.empty_like(xs)
+    out[rows] = da @ cell.w.value
+    return out
+
+
 # Ragged batches: 1-token sequences, equal lengths, and a batch of one.
 RAGGED = [[5, 1, 3, 5, 2], [1], [4, 4, 4], [7], [1, 1], [2, 9, 1, 6]]
 
@@ -150,24 +230,37 @@ class TestPack:
         assert p.counts == [3, 2, 1]
         assert p.offsets == [0, 3, 5]
         # step 0 reads sequences 1, 0, 2 at their first rows, and so on
-        assert p.rows.tolist() == [2, 0, 5, 3, 1, 4]
+        assert p.rows[0].tolist() == [2, 0, 5, 3, 1, 4]
         assert p.last.tolist() == [4, 5, 2]  # the final steps of 0, 1 and 2
 
     def test_ties_keep_input_order(self):
-        assert pack([2, 2]).rows.tolist() == [0, 2, 1, 3]
+        assert pack([2, 2]).rows[0].tolist() == [0, 2, 1, 3]
 
     def test_reverse_reads_each_sequence_back_to_front(self):
-        p = pack([2, 3, 1], reverse=True)
-        assert p.counts == [3, 2, 1]
-        assert p.rows.tolist() == [4, 1, 5, 3, 0, 2]
-        assert p.rows[p.last].tolist() == [0, 2, 5]  # each sequence's first row
+        p = pack([2, 3, 1])
+        assert p.rows[1].tolist() == [4, 1, 5, 3, 0, 2]
+        assert p.rows[1][p.last].tolist() == [0, 2, 5]  # each sequence's first row
 
     def test_every_row_packed_once(self):
         for lengths in RAGGED:
-            for reverse in (False, True):
-                p = pack(lengths, reverse)
-                assert sorted(p.rows.tolist()) == list(range(sum(lengths)))
-                assert sum(p.counts) == sum(lengths)
+            p = pack(lengths)
+            assert p.rows.shape == (2, sum(lengths))
+            for rows in p.rows:
+                assert sorted(rows.tolist()) == list(range(sum(lengths)))
+            assert sum(p.counts) == sum(lengths)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_row_loop(self, seed):
+        # Random lengths from a narrow range, so most batches have ties.
+        rng = Rng(seed)
+        lengths = [1 + rng.below(1 + seed % 6) for _ in range(1 + rng.below(9))]
+        p = pack(lengths)
+        for rows, reverse in zip(p.rows, (False, True)):
+            counts, offsets, want_rows, last = oracle_pack(lengths, reverse)
+            assert p.counts == counts and p.offsets == offsets
+            assert rows.tolist() == want_rows
+            assert p.last.tolist() == last
+        assert all(type(c) is int for c in p.counts + p.offsets)
 
     @pytest.mark.parametrize("lengths", [[], [3, 0], [-1]])
     def test_bad_lengths_rejected(self, lengths):
@@ -178,25 +271,24 @@ class TestPack:
 class TestGruSequence:
     @pytest.mark.parametrize("seed", range(10))
     def test_bptt_matches_finite_differences(self, seed):
-        # A ragged batch, read forward on even seeds and reversed on odd
-        # ones, with an extra gradient on every sequence's final state.
+        # A ragged batch with an extra gradient on every sequence's final
+        # state in both directions; every coordinate of both cells and of xs.
         rng = Rng(seed)
-        cell = gru_cell("g", 2, 3, rng)
+        fwd, bwd = gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng)
         lengths = [1 + rng.below(4) for _ in range(3)]
         n = sum(lengths)
-        packing = pack(lengths, reverse=seed % 2 == 1)
         xs = glorot_init(n, 2, rng)
-        proj = glorot_init(n, 3, rng)
-        final = glorot_init(len(lengths), 3, rng)
+        proj = glorot_init(n, 6, rng)
+        pf, pb = glorot_init(len(lengths), 3, rng), glorot_init(len(lengths), 3, rng)
 
         def loss_fn():
-            hs, last, _ = gru_forward(cell, xs, packing)
-            return float(np.sum(hs * proj) + np.sum(last * final))
+            reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs, lengths)
+            return float(np.sum(reps * proj) + np.sum(last_f * pf) + np.sum(last_b * pb))
 
-        zero_grads(cell.params())
-        _, _, cache = gru_forward(cell, xs, packing)
-        d_xs = gru_backward(cell, cache, proj, d_last=final)
-        for t in cell.params():
+        zero_grads(fwd.params() + bwd.params())
+        *_, cache = bigru_forward(fwd, bwd, xs, lengths)
+        d_xs = bigru_backward(fwd, bwd, cache, proj, d_last_fwd=pf, d_last_bwd=pb)
+        for t in fwd.params() + bwd.params():
             flat = t.value.reshape(-1)
             aflat = t.grad.reshape(-1)
             for c in range(flat.size):
@@ -210,28 +302,53 @@ class TestGruSequence:
 
     def test_sequence_matches_stepwise(self):
         rng = Rng(12)
-        cell = gru_cell("g", 4, 5, rng)
+        fwd, bwd = gru_cell("f", 4, 5, rng), gru_cell("b", 4, 5, rng)
         for lengths in RAGGED:
             xs = glorot_init(sum(lengths), 4, rng)
-            ends = np.cumsum(lengths) - 1
-            for reverse, lasts in ((False, ends), (True, ends - np.asarray(lengths) + 1)):
-                hs, last, _ = gru_forward(cell, xs, pack(lengths, reverse))
-                oracle = stepwise(cell, xs, lengths, reverse)
-                assert np.max(np.abs(hs - oracle)) < 1e-12
-                assert np.array_equal(last, hs[lasts])
+            reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs, lengths)
+            for half, last, cell, reverse in ((reps[:, :5], last_f, fwd, False),
+                                              (reps[:, 5:], last_b, bwd, True)):
+                hs, want_last, _ = oracle_gru_forward(cell, xs, lengths, reverse)
+                assert np.array_equal(half, hs)
+                assert np.array_equal(last, want_last)
+                assert np.max(np.abs(half - stepwise(cell, xs, lengths, reverse))) < 1e-12
+
+    @pytest.mark.parametrize("lengths", RAGGED)
+    def test_backward_matches_per_direction_oracle(self, lengths):
+        # d_xs and every cell grad, with d_last on every row, bit for bit.
+        rng = Rng(len(lengths))
+        fwd, bwd = gru_cell("f", 3, 4, rng), gru_cell("b", 3, 4, rng)
+        n = sum(lengths)
+        xs = glorot_init(n, 3, rng)
+        proj = glorot_init(n, 8, rng)
+        pf, pb = glorot_init(len(lengths), 4, rng), glorot_init(len(lengths), 4, rng)
+        params = fwd.params() + bwd.params()
+        zero_grads(params)
+        *_, cache = bigru_forward(fwd, bwd, xs, lengths)
+        d_xs = bigru_backward(fwd, bwd, cache, proj, d_last_fwd=pf, d_last_bwd=pb)
+        got = [t.grad.copy() for t in params]
+        zero_grads(params)
+        _, _, saved = oracle_gru_forward(fwd, xs, lengths)
+        want = oracle_gru_backward(fwd, xs, saved, proj[:, :4], pf)
+        _, _, saved = oracle_gru_forward(bwd, xs, lengths, reverse=True)
+        want += oracle_gru_backward(bwd, xs, saved, proj[:, 4:], pb)
+        assert np.array_equal(d_xs, want)
+        for t, g in zip(params, got):
+            assert np.array_equal(g, t.grad), t.name
 
     def test_backward_twice_doubles_grads(self):
         rng = Rng(3)
-        cell = gru_cell("g", 2, 3, rng)
+        fwd, bwd = gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng)
         lengths = [3, 1, 4]
         xs = glorot_init(8, 2, rng)
-        d_hs = glorot_init(8, 3, rng)
-        zero_grads(cell.params())
-        _, _, cache = gru_forward(cell, xs, pack(lengths))
-        gru_backward(cell, cache, d_hs)
-        once = [t.grad.copy() for t in cell.params()]
-        gru_backward(cell, cache, d_hs)
-        for t, g in zip(cell.params(), once):
+        d_reps = glorot_init(8, 6, rng)
+        params = fwd.params() + bwd.params()
+        zero_grads(params)
+        *_, cache = bigru_forward(fwd, bwd, xs, lengths)
+        bigru_backward(fwd, bwd, cache, d_reps)
+        once = [t.grad.copy() for t in params]
+        bigru_backward(fwd, bwd, cache, d_reps)
+        for t, g in zip(params, once):
             assert np.array_equal(t.grad, 2.0 * g)
 
     def test_zero_grads_is_exact(self):

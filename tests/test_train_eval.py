@@ -103,31 +103,31 @@ class TestAdam:
 class TestClipGlobal:
     def test_zero_grads_untouched(self):
         p = param("p", 2, 2, None)
-        assert clip_global([p], 5.0) == 1.0
+        assert clip_global([p], 5.0) == (1.0, 0.0)
         assert np.all(p.grad == 0.0)
 
     def test_under_threshold_untouched(self):
         p = param("p", 1, 1, None)
         p.grad[0, 0] = 3.0
-        assert clip_global([p], 5.0) == 1.0
+        assert clip_global([p], 5.0) == (1.0, 3.0)
         assert p.grad[0, 0] == 3.0
 
     def test_single_entry_halved(self):
         p = param("p", 1, 1, None)
         p.grad[0, 0] = 10.0
-        assert clip_global([p], 5.0) == 0.5
+        assert clip_global([p], 5.0) == (0.5, 10.0)
         assert p.grad[0, 0] == 5.0
 
     def test_joint_norm_across_tensors(self):
         a, b = param("a", 1, 1, None), param("b", 1, 1, None)
         a.grad[0, 0], b.grad[0, 0] = 3.0, 4.0
-        assert clip_global([a, b], 2.5) == 0.5
+        assert clip_global([a, b], 2.5) == (0.5, 5.0)
         assert a.grad[0, 0] == 1.5 and b.grad[0, 0] == 2.0
 
     def test_boundary_is_not_clipped(self):
         a, b = param("a", 1, 1, None), param("b", 1, 1, None)
         a.grad[0, 0], b.grad[0, 0] = 3.0, 4.0
-        assert clip_global([a, b], 5.0) == 1.0
+        assert clip_global([a, b], 5.0) == (1.0, 5.0)
 
     def test_never_inflates(self):
         rng = Rng(7)
@@ -271,6 +271,24 @@ class TestTrainLoop:
         row = next(r for r in res.history if "epoch" in r)
         assert len(row["clip_factors"]) == math.ceil(len(train_docs) / 2)
         assert all(0.0 < f <= 1.0 for f in row["clip_factors"])
+        assert len(row["grad_norms"]) == len(row["clip_factors"])
+
+    def test_history_records_pre_clip_grad_norm(self):
+        # One step per epoch over every document, so the first step's
+        # gradient is the sum over the training set at the initial params.
+        model, train_docs, dev_docs, _, tag_map, _ = micro_setup()
+        fresh, *_ = micro_setup()
+        cfg = TrainConfig(max_epochs=1, batch_docs=len(train_docs), clip_norm=0.1)
+        row = next(r for r in train(model, train_docs, dev_docs, cfg, tag_map).history
+                   if "epoch" in r)
+        for doc in train_docs:
+            fresh.loss_document([s.token_ids for s in doc.sentences],
+                                [s.tag_ids for s in doc.sentences],
+                                [s.class_id for s in doc.sentences])
+        want = math.sqrt(sum(float(np.sum(p.grad ** 2)) for p in fresh.params()))
+        assert row["grad_norms"] == [pytest.approx(want, rel=1e-12)]
+        assert want > cfg.clip_norm
+        assert row["clip_factors"] == [cfg.clip_norm / row["grad_norms"][0]]
 
     def test_nan_params_raise_numeric_error(self):
         model, train_docs, dev_docs, _, tag_map, _ = micro_setup()
