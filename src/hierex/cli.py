@@ -14,6 +14,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 from .data import (Document, ParseError, Sentence, _record_to_doc, bio_decode,
                    build_class_map, build_tag_map, build_vocab, encode_corpus,
@@ -53,11 +55,15 @@ class _Parser(argparse.ArgumentParser):
 # Config overrides (--config file, then --set key=value on top)
 # ---------------------------------------------------------------------------
 
-_HIER_KEYS = {"embed_dim": int, "sent_hidden": int, "doc_hidden": int,
-              "tagger_mode": str, "lambda_sent": float, "ablate_doc_context": bool}
-_TRAIN_KEYS = {"lr": float, "beta1": float, "beta2": float, "adam_eps": float,
-               "clip_norm": float, "batch_docs": int, "max_epochs": int,
-               "patience": int, "seed": int}
+def _knobs(cls) -> dict:
+    """A config dataclass's fields that have defaults, with their types.
+    The others (vocab, tag and class counts) come from the data."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.default is not MISSING}
+
+
+_HIER_KEYS = _knobs(HierConfig)
+_TRAIN_KEYS = _knobs(TrainConfig)
 _ALL_KEYS = {**_TRAIN_KEYS, **_HIER_KEYS}
 
 

@@ -93,11 +93,6 @@ def crf_score(emissions: Matrix, tags: list[int], p: CrfParams) -> float:
     return s + float(p.end.value[tags[-1], 0])
 
 
-def _lengths(packing: Packing) -> np.ndarray:
-    """Each sequence's length, in input order: its last step's index + 1."""
-    return np.searchsorted(packing.offsets, packing.last, side="right")
-
-
 def forward_backward(emissions: Matrix, packing: Packing, p: CrfParams
                      ) -> tuple[np.ndarray, Matrix, Matrix]:
     """Forward and backward recursions in log space over a packed batch.
@@ -168,8 +163,7 @@ def batch_nll_and_grads(emissions: Matrix, gold_tags: list[int], packing: Packin
     """
     _check(emissions, p, packing)
     n, k = emissions.shape
-    lengths = _lengths(packing)
-    starts = np.cumsum(lengths) - lengths
+    lengths, starts = packing.lengths, packing.starts
     g, bad = _first_bad_tag(gold_tags, n, k)
     if bad is not None:
         i = int(np.searchsorted(starts, bad, side="right")) - 1

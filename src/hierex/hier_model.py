@@ -7,20 +7,23 @@ Wiring per document:
   2. a document-level BiGRU over (v[1]..v[m]) gives doc-contextual sentence
      vectors c[i] (2D);
   3. sentence class logits are an affine map of c[i];
-  4. every token's tagging features are [u[i][t] ; c[i]], so document
-     context reaches the tagger, not just the classifier;
+  4. a token's emissions are the affine map W [u[i][t] ; c[i]] + b of its
+     tagging features, computed as a token term W_u u[i][t] + b plus a
+     context term W_c c[i] taken once per sentence and shared by its
+     tokens, so document context reaches the tagger, not just the
+     classifier;
   5. emissions feed either a per-token softmax or a linear-chain CRF.
 
 The joint loss is tag_nll / total_tokens + lambda_sent * class_ce / m, both
 terms per-unit normalized so the weight means the same thing for any
-document size. ``ablate_doc_context`` zeroes c[i] out of the token features
-(step 4) to let the document level's contribution be measured.
+document size. ``ablate_doc_context`` drops the context term (step 4) to
+let the document level's contribution be measured.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -47,29 +50,21 @@ class HierConfig:
     ablate_doc_context: bool = False
 
     def validate(self) -> None:
-        dims = {"vocab_size": self.vocab_size, "tag_count": self.tag_count,
-                "class_count": self.class_count, "embed_dim": self.embed_dim,
-                "sent_hidden": self.sent_hidden, "doc_hidden": self.doc_hidden}
-        for name, v in dims.items():
-            if not isinstance(v, int) or v < 1:
+        for name in ("vocab_size", "tag_count", "class_count", "embed_dim",
+                     "sent_hidden", "doc_hidden"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ContractError(f"HierConfig.{name} must be an integer >= 1, got {v!r}")
         if self.tagger_mode not in TAGGER_MODES:
             raise ContractError(f"HierConfig.tagger_mode must be one of {TAGGER_MODES}")
-        if not (np.isfinite(self.lambda_sent) and self.lambda_sent >= 0.0):
-            raise ContractError(f"HierConfig.lambda_sent must be finite and >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "tag_count": self.tag_count,
-            "class_count": self.class_count, "embed_dim": self.embed_dim,
-            "sent_hidden": self.sent_hidden, "doc_hidden": self.doc_hidden,
-            "tagger_mode": self.tagger_mode, "lambda_sent": self.lambda_sent,
-            "ablate_doc_context": self.ablate_doc_context,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HierConfig":
-        return cls(**d)
+        lam = self.lambda_sent
+        if (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
+                or not (np.isfinite(lam) and lam >= 0.0)):
+            raise ContractError(f"HierConfig.lambda_sent must be a finite number >= 0, "
+                                f"got {lam!r}")
+        if not isinstance(self.ablate_doc_context, bool):
+            raise ContractError(f"HierConfig.ablate_doc_context must be a bool, "
+                                f"got {self.ablate_doc_context!r}")
 
 
 def expected_param_count(cfg: HierConfig) -> int:
@@ -90,29 +85,17 @@ def expected_param_count(cfg: HierConfig) -> int:
 
 @dataclass
 class DocForward:
-    """Everything forward_document computes, kept for the backward pass.
+    """What forward_document computes that the backward pass or decoding
+    reads. The row matrices hold every token of the document in order;
+    ``sent_cache.packing`` holds each sentence's length and first row, and
+    ``doc_cache.xs`` the sentence vectors v_i."""
 
-    The row matrices hold every token of the document in order; ``split``
-    cuts one into per-sentence views.
-    """
-
-    lengths: list[int]              # tokens per sentence
-    token_rows: Matrix              # T x 2H
-    sent_vecs: Matrix               # m x 2H
+    token_rows: Matrix              # T x 2H (the u rows)
     doc_vecs: Matrix                # m x 2D (the c_i rows)
     class_logits: Matrix            # m x C
-    feat_rows: Matrix               # T x (2H+2D)
     emission_rows: Matrix           # T x K
     sent_cache: BiGruCache = field(repr=False)  # its packing also drives the CRF
     doc_cache: BiGruCache = field(repr=False)
-
-    @property
-    def starts(self) -> list[int]:
-        return list(accumulate(self.lengths[:-1], initial=0))
-
-    def split(self, rows: Matrix) -> list[Matrix]:
-        """Per-sentence views of a matrix with one row per token."""
-        return np.split(rows, self.starts[1:])
 
 
 class HierModel:
@@ -159,23 +142,19 @@ class HierModel:
         for i, ids in enumerate(id_seqs):
             if not ids:
                 raise ContractError(f"forward_document: sentence {i} is empty")
-        lengths = [len(ids) for ids in id_seqs]
         xs = embed_forward([t for ids in id_seqs for t in ids], self.embedding)
-        u, last_f, last_b, sent_cache = bigru_forward(self.sent_fwd, self.sent_bwd, xs, lengths)
-        sent_vecs = np.hstack([last_f, last_b])
-
-        doc_vecs, _, _, doc_cache = bigru_forward(self.doc_fwd, self.doc_bwd, sent_vecs,
-                                                  [len(id_seqs)])
+        u, last_f, last_b, sent_cache = bigru_forward(self.sent_fwd, self.sent_bwd, xs,
+                                                      [len(ids) for ids in id_seqs])
+        doc_vecs, _, _, doc_cache = bigru_forward(self.doc_fwd, self.doc_bwd,
+                                                  np.hstack([last_f, last_b]), [len(id_seqs)])
         class_logits = doc_vecs @ self.cls_w.value.T + self.cls_b.value[:, 0]
 
-        if self.cfg.ablate_doc_context:
-            ctx = np.zeros((u.shape[0], doc_vecs.shape[1]))
-        else:
-            ctx = np.repeat(doc_vecs, lengths, axis=0)
-        feats = np.hstack([u, ctx])
-        emissions = feats @ self.emit_w.value.T + self.emit_b.value[:, 0]
-        return DocForward(lengths, u, sent_vecs, doc_vecs, class_logits, feats, emissions,
-                          sent_cache, doc_cache)
+        h2, w = 2 * self.cfg.sent_hidden, self.emit_w.value
+        emissions = u @ w[:, :h2].T + self.emit_b.value[:, 0]
+        if not self.cfg.ablate_doc_context:
+            # Every token of sentence i adds the same W_c c_i.
+            emissions += np.repeat(doc_vecs @ w[:, h2:].T, sent_cache.packing.lengths, axis=0)
+        return DocForward(u, doc_vecs, class_logits, emissions, sent_cache, doc_cache)
 
     # -- training loss ------------------------------------------------------
 
@@ -211,18 +190,19 @@ class HierModel:
 
     def _backward(self, id_seqs: list[list[int]], fwd: DocForward,
                   d_em: Matrix, d_cls_logits: Matrix) -> None:
-        h2 = 2 * self.cfg.sent_hidden
-        self.emit_w.grad += d_em.T @ fwd.feat_rows
+        h2, w = 2 * self.cfg.sent_hidden, self.emit_w.value
+        self.emit_w.grad[:, :h2] += d_em.T @ fwd.token_rows
         self.emit_b.grad[:, 0] += d_em.sum(axis=0)
-        d_token_reps = d_em @ self.emit_w.value[:, :h2]
+        d_token_reps = d_em @ w[:, :h2]
 
         self.cls_w.grad += d_cls_logits.T @ fwd.doc_vecs
         self.cls_b.grad[:, 0] += d_cls_logits.sum(axis=0)
         d_doc_vecs = d_cls_logits @ self.cls_w.value
         if not self.cfg.ablate_doc_context:
             # Every token of sentence i reads c_i, so c_i gets their summed grads.
-            d_em_sums = np.vstack([d.sum(axis=0) for d in fwd.split(d_em)])
-            d_doc_vecs += d_em_sums @ self.emit_w.value[:, h2:]
+            d_em_sums = np.add.reduceat(d_em, fwd.sent_cache.packing.starts, axis=0)
+            self.emit_w.grad[:, h2:] += d_em_sums.T @ fwd.doc_vecs
+            d_doc_vecs += d_em_sums @ w[:, h2:]
 
         d_sent_vecs = bigru_backward(self.doc_fwd, self.doc_bwd, fwd.doc_cache, d_doc_vecs)
         hdim = self.cfg.sent_hidden
@@ -246,7 +226,6 @@ class HierModel:
             tags = crf_mod.batch_viterbi(fwd.emission_rows, fwd.sent_cache.packing, self.crf)
         else:
             tags = np.argmax(fwd.emission_rows, axis=1)
-        tags = tags.tolist()
-        tag_ids = [tags[s: s + n] for s, n in zip(fwd.starts, fwd.lengths)]
+        tag_ids = [t.tolist() for t in np.split(tags, fwd.sent_cache.packing.starts[1:])]
         class_ids = [int(i) for i in np.argmax(fwd.class_logits, axis=1)]
         return tag_ids, class_ids, softmax(fwd.class_logits)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -236,22 +236,20 @@ def train(model: HierModel, train_docs: list[Document], dev_docs: list[Document]
             rep = evaluate(model, dev_docs, tag_map)
             row["dev_f1"] = rep.span.micro.f1
             row["dev_class_acc"] = rep.class_acc
-            history.append(row)
-            if on_epoch is not None:
-                on_epoch(row)
-            if best_f1 is None or rep.span.micro.f1 > best_f1:
-                best_f1 = rep.span.micro.f1
-                best_epoch = epoch
-                best_snap = snapshot_params(model)
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
+        history.append(row)
+        if on_epoch is not None:
+            on_epoch(row)
+        if not dev_docs:
+            continue
+        if best_f1 is None or row["dev_f1"] > best_f1:
+            best_f1 = row["dev_f1"]
+            best_epoch = epoch
+            best_snap = snapshot_params(model)
+            stale = 0
         else:
-            history.append(row)
-            if on_epoch is not None:
-                on_epoch(row)
+            stale += 1
+            if stale >= cfg.patience:
+                break
     if best_snap is not None:
         restore_params(model, best_snap)
         return TrainResult(history, best_epoch, best_f1)
@@ -272,7 +270,7 @@ def save_checkpoint(path: str, model: HierModel, vocab: Vocab,
     metadata (config, vocab, tag map, class map), u32 tensor count, then per
     tensor: u16 name length, name, u32 rows, u32 cols, float64 row-major data.
     """
-    meta = {"config": model.cfg.to_dict(), "vocab": vocab.id_to_token,
+    meta = {"config": asdict(model.cfg), "vocab": vocab.id_to_token,
             "tag_map": tag_map, "class_map": class_map}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     params = model.params()
@@ -293,8 +291,9 @@ def save_checkpoint(path: str, model: HierModel, vocab: Vocab,
 def load_checkpoint(path: str) -> tuple[HierModel, Vocab, list[str], list[str]]:
     """Inverse of save_checkpoint; bit-exact. Raises CheckpointError naming
     what is wrong (bad magic, version, truncation, trailing bytes, missing
-    or misshapen tensors, or a vocab, tag map or class map whose length
-    disagrees with the config).
+    or misshapen tensors, a config with a missing, unknown or ill-typed
+    field, or a vocab, tag map or class map whose length disagrees with the
+    config).
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -322,8 +321,9 @@ def load_checkpoint(path: str) -> tuple[HierModel, Vocab, list[str], list[str]]:
         if key not in meta:
             raise CheckpointError(f"checkpoint metadata lacks {key!r}")
     try:
-        cfg = HierConfig.from_dict(meta["config"])
-    except TypeError as e:
+        cfg = HierConfig(**meta["config"])
+        cfg.validate()
+    except (TypeError, ContractError) as e:
         raise CheckpointError(f"bad checkpoint config: {e}") from None
     model = HierModel(cfg, rng=None)
     for key, size_field in (("vocab", "vocab_size"), ("tag_map", "tag_count"),

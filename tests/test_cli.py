@@ -344,6 +344,20 @@ class TestExtract:
         assert out == ""
         assert f"checkpoint {key} has" in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_sent", "0.5"), ("ablate_doc_context", "false"), ("doc_hidden", True),
+    ])
+    def test_ill_typed_config_fails_before_first_record(self, tmp_path, capsys, arts,
+                                                        field, value):
+        model = self._mutated_model(tmp_path, arts, "config",
+                                    lambda cfg: {**cfg, field: value})
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n".join(self._raw_lines()) + "\n")
+        assert main(["extract", "--model", model, "--input", str(src)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"bad checkpoint config: HierConfig.{field}" in err
+
     def test_pretokenized_records(self, tmp_path, arts):
         src = tmp_path / "tok.jsonl"
         src.write_text(json.dumps(

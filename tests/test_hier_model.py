@@ -1,11 +1,12 @@
 """Hierarchical model: parameter inventory, wiring, joint loss, gradients."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from hierex.hier_model import DocForward, HierConfig, HierModel, expected_param_count
+from hierex.hier_model import HierConfig, HierModel, expected_param_count
 from hierex.crf import viterbi
 from hierex.linalg import ContractError, Rng, glorot_init
 from hierex.nn import grad_check
@@ -64,12 +65,15 @@ class TestConfig:
     def test_round_trip(self):
         cfg = HierConfig(tagger_mode="softmax", lambda_sent=0.25,
                          ablate_doc_context=True, **TOY)
-        assert HierConfig.from_dict(cfg.to_dict()) == cfg
+        assert HierConfig(**asdict(cfg)) == cfg
 
     @pytest.mark.parametrize("bad", [
         dict(vocab_size=0), dict(embed_dim=-1), dict(tag_count=0),
         dict(tagger_mode="mrf"), dict(lambda_sent=-0.5),
         dict(lambda_sent=float("nan")),
+        dict(lambda_sent="0.5"), dict(lambda_sent=True), dict(lambda_sent=None),
+        dict(ablate_doc_context="false"), dict(ablate_doc_context=1),
+        dict(vocab_size=True), dict(doc_hidden=2.0),
     ])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ContractError):
@@ -83,12 +87,13 @@ class TestForwardShapes:
         id_seqs = [[0] * n for n in lens]
         fwd = model.forward_document(id_seqs)
         h2, d2 = 2 * TOY["sent_hidden"], 2 * TOY["doc_hidden"]
-        assert [u.shape for u in fwd.split(fwd.token_rows)] == [(n, h2) for n in lens]
-        assert fwd.sent_vecs.shape == (3, h2)
+        assert fwd.token_rows.shape == (9, h2)
+        assert fwd.doc_cache.xs.shape == (3, h2)  # the sentence vectors
         assert fwd.doc_vecs.shape == (3, d2)
         assert fwd.class_logits.shape == (3, TOY["class_count"])
-        assert [f.shape for f in fwd.split(fwd.feat_rows)] == [(n, h2 + d2) for n in lens]
-        assert [e.shape for e in fwd.split(fwd.emission_rows)] == [(n, TOY["tag_count"]) for n in lens]
+        assert fwd.emission_rows.shape == (9, TOY["tag_count"])
+        assert fwd.sent_cache.packing.lengths.tolist() == lens
+        assert fwd.sent_cache.packing.starts.tolist() == [0, 3, 4]
 
     def test_empty_document_rejected(self):
         with pytest.raises(ContractError):
@@ -100,7 +105,7 @@ class TestForwardShapes:
 
     def test_token_reps_ignore_neighbor_sentences(self):
         # The sentence encoder sees only its own tokens; document context
-        # enters later, through the feature concat.
+        # enters later, through the emissions' context term.
         model = toy_model()
         a = model.forward_document([[1, 2, 3], [4, 5]])
         b = model.forward_document([[1, 2, 3], [6, 7, 8, 9]])
@@ -108,12 +113,18 @@ class TestForwardShapes:
         assert not np.array_equal(a.emission_rows[:3], b.emission_rows[:3])
 
     def test_doc_context_reaches_every_token(self):
+        # With the token block of emit.W and the bias zeroed, each token's
+        # emissions are its sentence's context term W_c c_i alone.
         model = toy_model()
-        fwd = model.forward_document([[1, 2, 3], [4, 5]])
         h2 = 2 * TOY["sent_hidden"]
-        for i, f in enumerate(fwd.split(fwd.feat_rows)):
-            for t in range(f.shape[0]):
-                assert np.array_equal(f[t, h2:], fwd.doc_vecs[i])
+        model.emit_w.value[:, :h2] = 0.0
+        model.emit_b.value[...] = 0.0
+        fwd = model.forward_document([[1, 2, 3], [4, 5]])
+        w_c = model.emit_w.value[:, h2:]
+        ctx = [c @ w_c.T for c in fwd.doc_vecs]
+        assert not np.allclose(ctx[0], ctx[1])
+        for t, i in enumerate([0, 0, 0, 1, 1]):
+            assert np.allclose(fwd.emission_rows[t], ctx[i], rtol=0, atol=1e-14)
 
 
 class TestAblation:
@@ -122,12 +133,17 @@ class TestAblation:
         cut = toy_model(seed=3, ablate_doc_context=True)
         ids = [[1, 2, 3], [4, 5]]
         ff, fc = full.forward_document(ids), cut.forward_document(ids)
-        h2 = 2 * TOY["sent_hidden"]
-        assert np.all(fc.feat_rows[:, h2:] == 0.0)
         assert np.array_equal(ff.token_rows, fc.token_rows)
         # The sentence classifier still sees document context either way.
         assert np.array_equal(ff.class_logits, fc.class_logits)
         assert not np.array_equal(ff.emission_rows[:3], fc.emission_rows[:3])
+        # The context block of emit.W reaches only the full model's emissions.
+        h2 = 2 * TOY["sent_hidden"]
+        cut.emit_w.value[:, h2:] += 5.0
+        assert np.array_equal(cut.forward_document(ids).emission_rows, fc.emission_rows)
+        full.emit_w.value[:, h2:] += 5.0
+        assert not np.array_equal(full.forward_document(ids).emission_rows,
+                                  ff.emission_rows)
 
 
 class TestJointLoss:
@@ -256,8 +272,9 @@ class TestPredict:
         model.crf.trans.value[...] = trans
         doc = [[1, 2, 3], [4], [5, 6, 7, 8], [9, 10, 11], [12, 13]]
         tag_ids, _, _ = model.predict_document(doc)
-        fwd = model.forward_document(doc)
-        alone = [viterbi(em, model.crf)[0] for em in fwd.split(fwd.emission_rows)]
+        em = model.forward_document(doc).emission_rows
+        starts = np.cumsum([len(ids) for ids in doc])[:-1]
+        alone = [viterbi(e, model.crf)[0] for e in np.split(em, starts)]
         assert tag_ids == alone
 
     def test_paths_align_and_probs_normalize(self):

@@ -261,6 +261,8 @@ class TestPack:
             assert rows.tolist() == want_rows
             assert p.last.tolist() == last
         assert all(type(c) is int for c in p.counts + p.offsets)
+        assert p.lengths.tolist() == lengths
+        assert p.starts.tolist() == [sum(lengths[:i]) for i in range(len(lengths))]
 
     @pytest.mark.parametrize("lengths", [[], [3, 0], [-1]])
     def test_bad_lengths_rejected(self, lengths):

@@ -412,6 +412,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="config implies"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_sent", "0.5"), ("lambda_sent", True), ("ablate_doc_context", "false"),
+        ("ablate_doc_context", 0), ("embed_dim", True), ("embed_dim", 8.0),
+    ])
+    def test_ill_typed_config_detected(self, tmp_path, field, value):
+        _, _, _, _, _, path = self._saved(tmp_path)
+        bad = str(tmp_path / "ill-typed.bin")
+        self._mutate_meta(path, bad, lambda m: m["config"].__setitem__(field, value))
+        with pytest.raises(CheckpointError, match=f"bad checkpoint config: HierConfig.{field}"):
+            load_checkpoint(bad)
+
     def test_missing_metadata_key(self, tmp_path):
         _, _, _, _, _, path = self._saved(tmp_path)
         bad = str(tmp_path / "nokey.bin")
