@@ -12,12 +12,12 @@ from .crf import crf_log_partition, crf_params, crf_score, viterbi
 from .data import bio_repairs, gold_spans, span_prf
 from .generator import generate_corpus
 from .linalg import Rng, glorot_init, logsumexp, sigmoid
-from .nn import bigru_backward, bigru_forward, grad_check, gru_cell
+from .nn import bigru, bigru_backward, bigru_forward, grad_check
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rng", "bigru_backward", "bigru_forward", "bio_repairs", "crf_log_partition",
-    "crf_params", "crf_score", "generate_corpus", "glorot_init", "gold_spans",
-    "grad_check", "gru_cell", "logsumexp", "sigmoid", "span_prf", "viterbi",
+    "Rng", "bigru", "bigru_backward", "bigru_forward", "bio_repairs",
+    "crf_log_partition", "crf_params", "crf_score", "generate_corpus", "glorot_init",
+    "gold_spans", "grad_check", "logsumexp", "sigmoid", "span_prf", "viterbi",
 ]

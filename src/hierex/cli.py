@@ -123,7 +123,8 @@ def _collect_overrides(config_path: str | None, set_pairs: list[str]) -> dict:
 
 
 def _split_configs(overrides: dict) -> tuple[TrainConfig, dict]:
-    """Partition merged overrides into a TrainConfig and HierConfig kwargs."""
+    """Partition merged overrides into a TrainConfig and HierConfig kwargs,
+    and validate both before any corpus is read."""
     tcfg = TrainConfig()
     hier_kwargs: dict = {}
     for key, value in overrides.items():
@@ -132,6 +133,8 @@ def _split_configs(overrides: dict) -> tuple[TrainConfig, dict]:
         else:
             hier_kwargs[key] = value
     tcfg.validate()
+    # The sizes come from the data later; 1 stands in for them here.
+    HierConfig(vocab_size=1, tag_count=1, class_count=1, **hier_kwargs).validate()
     return tcfg, hier_kwargs
 
 
@@ -383,9 +386,9 @@ def build_parser() -> _Parser:
     c = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     c.add_argument("--seed", type=int, default=11)
     c.add_argument("--eps", type=float, default=1e-5)
-    c.add_argument("--sample", type=int, default=54,
-                   help="coordinates checked per tensor (default 54: every "
-                        "coordinate of each GRU tensor)")
+    c.add_argument("--sample", type=int, default=108,
+                   help="coordinates checked per tensor (default 108: every "
+                        "coordinate of every tensor)")
     c.set_defaults(func=cmd_gradcheck)
     return p
 

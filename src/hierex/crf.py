@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ContractError, Matrix, ShapeError, logsumexp
+from .linalg import ContractError, Matrix, logsumexp
 from .nn import Packing, ParamTensor, pack, param
 
 
@@ -65,16 +65,16 @@ def _check(emissions: Matrix, p: CrfParams, packing: Packing | None = None) -> N
     if n < 1:
         raise ContractError("crf: empty emission sequence")
     if k != p.n_tags:
-        raise ShapeError(f"crf: emissions have {k} tags, params have {p.n_tags}")
+        raise ContractError(f"crf: emissions have {k} tags, params have {p.n_tags}")
     if packing is not None and packing.rows.shape[1] != n:
-        raise ShapeError(f"crf: {n} emission rows, packing has {packing.rows.shape[1]}")
+        raise ContractError(f"crf: {n} emission rows, packing has {packing.rows.shape[1]}")
 
 
 def _first_bad_tag(tags: list[int], n: int, k: int) -> tuple[np.ndarray, int | None]:
     """The tags as an array, and the row of the first one outside [0, k)."""
     g = np.asarray(tags, dtype=np.intp)
     if g.shape != (n,):
-        raise ShapeError(f"crf: {n} emission rows vs {g.size} tags")
+        raise ContractError(f"crf: {n} emission rows vs {g.size} tags")
     bad = np.flatnonzero((g < 0) | (g >= k))
     return g, int(bad[0]) if bad.size else None
 

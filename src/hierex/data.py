@@ -157,6 +157,8 @@ def bio_encode(spans: list[TagSpan], length: int) -> list[str]:
 
 
 def _parse_tag(tag: str, position: int) -> tuple[str, str | None]:
+    if not isinstance(tag, str):
+        raise ParseError(f"tag {tag!r} at position {position} is not a string")
     if tag == "O":
         return "O", None
     if len(tag) > 2 and tag[1] == "-" and tag[0] in "BI":
@@ -364,7 +366,10 @@ def _record_to_doc(rec: dict, lineno: int, known_classes) -> Document:
                 fail("tags", f"length {None if not isinstance(tags, list) else len(tags)} "
                              f"does not match {len(tokens)} tokens")
             for t, tag in enumerate(tags):
-                _parse_tag(tag, t)  # structural validation
+                try:
+                    _parse_tag(tag, t)  # structural validation
+                except ParseError as e:
+                    fail("tags", f"has {e}")
         cls = s.get("class")
         if cls is not None:
             if not isinstance(cls, str) or not cls:

@@ -30,9 +30,8 @@ import numpy as np
 from . import crf as crf_mod
 from .crf import CrfParams
 from .linalg import ContractError, Matrix, Rng
-from .nn import (BiGruCache, GruCell, ParamTensor, bigru_backward, bigru_forward,
-                 embed_backward, embed_forward, gru_cell, param, softmax, softmax_ce,
-                 zero_grads)
+from .nn import (BiGruCache, ParamTensor, bigru, bigru_backward, bigru_forward,
+                 embed_backward, embed_forward, param, softmax, softmax_ce, zero_grads)
 
 TAGGER_MODES = ("softmax", "crf")
 
@@ -69,13 +68,13 @@ class HierConfig:
 
 def expected_param_count(cfg: HierConfig) -> int:
     """Closed-form trainable scalar count implied by a config."""
-    def gru(inp: int, hid: int) -> int:
-        return 3 * (hid * inp + hid * hid + hid)
+    def bigru_size(inp: int, hid: int) -> int:
+        return 2 * 3 * (hid * inp + hid * hid + hid)
 
     e, h, d = cfg.embed_dim, cfg.sent_hidden, cfg.doc_hidden
     k, c = cfg.tag_count, cfg.class_count
     n = cfg.vocab_size * e
-    n += 2 * gru(e, h) + 2 * gru(2 * h, d)
+    n += bigru_size(e, h) + bigru_size(2 * h, d)
     n += k * (2 * h + 2 * d) + k
     n += c * (2 * d) + c
     if cfg.tagger_mode == "crf":
@@ -107,10 +106,8 @@ class HierModel:
         v, e, h, d = cfg.vocab_size, cfg.embed_dim, cfg.sent_hidden, cfg.doc_hidden
         k, c = cfg.tag_count, cfg.class_count
         self.embedding = param("embed", v, e, rng)
-        self.sent_fwd = gru_cell("sent_fwd", e, h, rng)
-        self.sent_bwd = gru_cell("sent_bwd", e, h, rng)
-        self.doc_fwd = gru_cell("doc_fwd", 2 * h, d, rng)
-        self.doc_bwd = gru_cell("doc_bwd", 2 * h, d, rng)
+        self.sent_gru = bigru("sent_gru", e, h, rng)
+        self.doc_gru = bigru("doc_gru", 2 * h, d, rng)
         self.emit_w = param("emit.W", k, 2 * h + 2 * d, rng)
         self.emit_b = param("emit.b", k, 1, None)
         self.cls_w = param("cls.W", c, 2 * d, rng)
@@ -118,10 +115,8 @@ class HierModel:
         self.crf: CrfParams | None = crf_mod.crf_params(k) if cfg.tagger_mode == "crf" else None
 
     def params(self) -> list[ParamTensor]:
-        ps = [self.embedding]
-        for cell in (self.sent_fwd, self.sent_bwd, self.doc_fwd, self.doc_bwd):
-            ps.extend(cell.params())
-        ps.extend([self.emit_w, self.emit_b, self.cls_w, self.cls_b])
+        ps = [self.embedding, *self.sent_gru.params(), *self.doc_gru.params(),
+              self.emit_w, self.emit_b, self.cls_w, self.cls_b]
         if self.crf is not None:
             ps.extend(self.crf.params())
         return ps
@@ -143,10 +138,9 @@ class HierModel:
             if not ids:
                 raise ContractError(f"forward_document: sentence {i} is empty")
         xs = embed_forward([t for ids in id_seqs for t in ids], self.embedding)
-        u, last_f, last_b, sent_cache = bigru_forward(self.sent_fwd, self.sent_bwd, xs,
-                                                      [len(ids) for ids in id_seqs])
-        doc_vecs, _, _, doc_cache = bigru_forward(self.doc_fwd, self.doc_bwd,
-                                                  np.hstack([last_f, last_b]), [len(id_seqs)])
+        u, sent_vecs, sent_cache = bigru_forward(self.sent_gru, xs,
+                                                 [len(ids) for ids in id_seqs])
+        doc_vecs, _, doc_cache = bigru_forward(self.doc_gru, sent_vecs, [len(id_seqs)])
         class_logits = doc_vecs @ self.cls_w.value.T + self.cls_b.value[:, 0]
 
         h2, w = 2 * self.cfg.sent_hidden, self.emit_w.value
@@ -204,11 +198,8 @@ class HierModel:
             self.emit_w.grad[:, h2:] += d_em_sums.T @ fwd.doc_vecs
             d_doc_vecs += d_em_sums @ w[:, h2:]
 
-        d_sent_vecs = bigru_backward(self.doc_fwd, self.doc_bwd, fwd.doc_cache, d_doc_vecs)
-        hdim = self.cfg.sent_hidden
-        d_xs = bigru_backward(self.sent_fwd, self.sent_bwd, fwd.sent_cache, d_token_reps,
-                              d_last_fwd=d_sent_vecs[:, :hdim],
-                              d_last_bwd=d_sent_vecs[:, hdim:])
+        d_sent_vecs = bigru_backward(self.doc_gru, fwd.doc_cache, d_doc_vecs)
+        d_xs = bigru_backward(self.sent_gru, fwd.sent_cache, d_token_reps, d_last=d_sent_vecs)
         embed_backward([t for ids in id_seqs for t in ids], d_xs, self.embedding)
 
     # -- inference ----------------------------------------------------------

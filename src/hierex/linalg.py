@@ -13,12 +13,9 @@ import math
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Incompatible matrix dimensions for an operation."""
-
-
 class ContractError(ValueError):
-    """A caller violated an operation's precondition."""
+    """A caller violated an operation's precondition, such as the shapes
+    its matrices must agree on."""
 
 
 # The canonical dense carrier: 2-D, float64, row-major.

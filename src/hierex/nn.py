@@ -5,12 +5,13 @@ the caller drives backpropagation in reverse order. Gradients are pure
 accumulations into each parameter's ``grad`` buffer -- running backward twice
 without zeroing doubles every gradient, and ``zero_grads`` is the only reset.
 
-The bidirectional GRU runs a batch of ragged sequences packed by ``pack``
-(longest first, time-major, no padding), and both directions advance in
-one step loop: their gates and states are stacked as two planes, and each
-step makes one batched GEMM per gate group against the two cells' stacked
-``U`` blocks. Each plane's arithmetic is that of a one-direction loop, so
-the result does not depend on the other direction.
+The bidirectional GRU keeps both directions in one parameter set, the
+forward direction's rows first, and reads it as two planes. It runs a
+batch of ragged sequences packed by ``pack`` (longest first, time-major,
+no padding), and both directions advance in one step loop: their gates
+and states are stacked as two planes too, and each step makes one batched
+GEMM per gate group. Each plane's arithmetic is that of a one-direction
+loop, so the result does not depend on the other direction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import ContractError, Matrix, Rng, ShapeError, glorot_init, logsumexp, sigmoid
+from .linalg import ContractError, Matrix, Rng, glorot_init, logsumexp, sigmoid
 
 
 @dataclass
@@ -35,7 +36,8 @@ class ParamTensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
         if self.value.shape != self.grad.shape:
-            raise ShapeError(f"{self.name}: value {self.value.shape} vs grad {self.grad.shape}")
+            raise ContractError(f"{self.name}: value {self.value.shape} "
+                                f"vs grad {self.grad.shape}")
 
 
 def param(name: str, rows: int, cols: int, rng: Rng | None = None) -> ParamTensor:
@@ -73,13 +75,14 @@ def embed_backward(ids: list[int], d_out: Matrix, table: ParamTensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# GRU cell and packed layout
+# Bidirectional GRU parameters and packed layout
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GruCell:
-    """Gated recurrent unit whose gates are stacked row blocks, in the order
-    r, z, h, of W (3H x I), U (3H x H) and b (3H x 1):
+class BiGru:
+    """Both directions of a bidirectional GRU as one parameter set: W
+    (2*3H x I), U (2*3H x H) and b (2*3H x 1), the forward direction's rows
+    first. Each direction's rows stack its gates in the order r, z, h:
 
     r  = sigmoid(W_r x + U_r h + b_r)
     z  = sigmoid(W_z x + U_z h + b_z)
@@ -98,23 +101,31 @@ class GruCell:
     def params(self) -> list[ParamTensor]:
         return [self.w, self.u, self.b]
 
+    def planes(self, m: Matrix) -> np.ndarray:
+        """A view of a 2*3H-row value or grad as 2 x 3H x cols, one plane
+        per direction."""
+        return m.reshape(2, 3 * self.hidden, m.shape[1])
 
-def gru_cell(prefix: str, input_dim: int, hidden: int, rng: Rng | None) -> GruCell:
-    """Build a cell named ``<prefix>.W``, ``.U`` and ``.b``.
 
-    Each gate block is its own H-row Glorot draw, W_r, W_z, W_h and then
-    U_r, U_z, U_h, so the init range is that of one gate, not of the
-    stacked 3H-row matrix. Biases start at zero; so does everything when
+def bigru(prefix: str, input_dim: int, hidden: int, rng: Rng | None) -> BiGru:
+    """Build a BiGRU named ``<prefix>.W``, ``.U`` and ``.b``.
+
+    Each gate block is its own H-row Glorot draw, so the init range is
+    that of one gate, not of the stacked matrix. The forward direction
+    draws W_r, W_z, W_h and then U_r, U_z, U_h, and the backward direction
+    does the same after it. Biases start at zero; so does everything when
     no rng is given.
     """
-    def stacked(cols: int) -> Matrix:
+    def gates(cols: int) -> Matrix:
         if rng is None:
             return np.zeros((3 * hidden, cols))
         return np.vstack([glorot_init(hidden, cols, rng) for _ in range(3)])
 
-    return GruCell(ParamTensor(f"{prefix}.W", stacked(input_dim)),
-                   ParamTensor(f"{prefix}.U", stacked(hidden)),
-                   param(f"{prefix}.b", 3 * hidden, 1, None))
+    w_f, u_f = gates(input_dim), gates(hidden)
+    w_b, u_b = gates(input_dim), gates(hidden)
+    return BiGru(ParamTensor(f"{prefix}.W", np.vstack([w_f, w_b])),
+                 ParamTensor(f"{prefix}.U", np.vstack([u_f, u_b])),
+                 param(f"{prefix}.b", 6 * hidden, 1, None))
 
 
 @dataclass
@@ -178,43 +189,35 @@ class BiGruCache:
     gates: np.ndarray   # 2 x N x 3H, packed: [r ; z ; hh]
 
 
-def _stacked_u(fwd: GruCell, bwd: GruCell) -> tuple[np.ndarray, np.ndarray]:
-    """The two cells' U, stacked 2 x 3H x H: its r and z rows, and its h rows."""
-    u = np.stack([fwd.u.value, bwd.u.value])
-    return u[:, : 2 * fwd.hidden], u[:, 2 * fwd.hidden:]
-
-
-def bigru_forward(fwd: GruCell, bwd: GruCell, xs: Matrix, lengths: list[int]
-                  ) -> tuple[Matrix, Matrix, Matrix, BiGruCache]:
+def bigru_forward(gru: BiGru, xs: Matrix, lengths: list[int]
+                  ) -> tuple[Matrix, Matrix, BiGruCache]:
     """Encode a batch of sequences in both directions from zero states.
 
     ``xs`` holds the sequences back to back, ``lengths[i]`` rows for
-    sequence i. Returns (token_reps, last_fwd, last_bwd, cache) where row t
-    of token_reps is [h_fwd_t ; h_bwd_t], row i of last_fwd is the forward
-    state after sequence i's final row and row i of last_bwd is the
-    backward state after reading its first row.
+    sequence i. Returns (token_reps, last, cache) where row t of
+    token_reps is [h_fwd_t ; h_bwd_t] and row i of last is
+    [last_fwd_i ; last_bwd_i]: the forward state after sequence i's final
+    row and the backward state after reading its first row.
 
-    Both directions advance in one step loop over the packed batch. Each
-    direction's input projections are one GEMM before the loop, written
-    into its plane of the gates; each step makes one batched GEMM with the
-    two cells' r and z rows of U and one with their h rows, over the rows
-    still running.
+    Both directions advance in one step loop over the packed batch. The
+    input projections of both are one batched GEMM before the loop,
+    written into the gates; each step makes one batched GEMM with the
+    two directions' r and z rows of U and one with their h rows, over the
+    rows still running.
     """
     if xs.shape[0] < 1:
         raise ContractError("bigru_forward: empty sequence")
     if sum(lengths) != xs.shape[0]:
         raise ContractError(f"bigru_forward: lengths sum to {sum(lengths)}, "
                             f"xs has {xs.shape[0]} rows")
-    hdim = fwd.hidden
+    hdim = gru.hidden
     packing = pack(lengths)
     n = xs.shape[0]
+    w, u, b = (gru.planes(p.value) for p in gru.params())
     # The input projections; each step overwrites its rows with the gates.
-    gates = np.empty((2, n, 3 * hdim))
-    for plane, cell, rows in zip(gates, (fwd, bwd), packing.rows):
-        np.matmul(xs[rows], cell.w.value.T, out=plane)
-        plane += cell.b.value[:, 0]
-    u_rz, u_h = _stacked_u(fwd, bwd)
-    u_rzT, u_hT = u_rz.transpose(0, 2, 1), u_h.transpose(0, 2, 1)
+    gates = np.matmul(xs[packing.rows], w.transpose(0, 2, 1))
+    gates += b.transpose(0, 2, 1)
+    u_rzT, u_hT = u[:, : 2 * hdim].transpose(0, 2, 1), u[:, 2 * hdim:].transpose(0, 2, 1)
     states = np.empty((2, n, hdim))
 
     h = np.zeros((2, packing.counts[0], hdim))
@@ -233,31 +236,29 @@ def bigru_forward(fwd: GruCell, bwd: GruCell, xs: Matrix, lengths: list[int]
     reps = np.empty((n, 2 * hdim))
     reps[packing.rows[0], :hdim] = states[0]
     reps[packing.rows[1], hdim:] = states[1]
-    last = states[:, packing.last]
-    return reps, last[0], last[1], BiGruCache(packing, xs, states, gates)
+    return reps, np.hstack(states[:, packing.last]), BiGruCache(packing, xs, states, gates)
 
 
-def bigru_backward(fwd: GruCell, bwd: GruCell, cache: BiGruCache, d_token_reps: Matrix,
-                   d_last_fwd: Matrix | None = None,
-                   d_last_bwd: Matrix | None = None) -> Matrix:
+def bigru_backward(gru: BiGru, cache: BiGruCache, d_token_reps: Matrix,
+                   d_last: Matrix | None = None) -> Matrix:
     """Full BPTT through both directions in one reversed step loop.
 
-    ``d_token_reps`` is the upstream gradient of token_reps; ``d_last_fwd``
-    and ``d_last_bwd`` are extra gradients on each sequence's final states.
-    Accumulates every cell grad and returns d_xs in the row order of the
-    forward input.
+    ``d_token_reps`` is the upstream gradient of token_reps and ``d_last``
+    an extra gradient on each sequence's final states, in the layout of
+    bigru_forward's ``last``. Accumulates every grad of ``gru`` and
+    returns d_xs in the row order of the forward input.
     """
-    hdim = fwd.hidden
+    hdim = gru.hidden
     packing = cache.packing
     counts, offsets, n = packing.counts, packing.offsets, cache.xs.shape[0]
-    u_rz, u_h = _stacked_u(fwd, bwd)
+    w, u = gru.planes(gru.w.value), gru.planes(gru.u.value)
+    u_rz, u_h = u[:, : 2 * hdim], u[:, 2 * hdim:]
     dp = np.empty((2, n, hdim))
     dp[0] = d_token_reps[packing.rows[0], :hdim]
     dp[1] = d_token_reps[packing.rows[1], hdim:]
-    if d_last_fwd is not None:
-        dp[0, packing.last] += d_last_fwd
-    if d_last_bwd is not None:
-        dp[1, packing.last] += d_last_bwd
+    if d_last is not None:
+        dp[0, packing.last] += d_last[:, :hdim]
+        dp[1, packing.last] += d_last[:, hdim:]
     da = np.empty((2, n, 3 * hdim))  # packed [da_r ; da_z ; da_h]
 
     dh = np.zeros((2, 0, hdim))
@@ -284,19 +285,20 @@ def bigru_backward(fwd: GruCell, bwd: GruCell, cache: BiGruCache, d_token_reps: 
     # before. Built for one direction at a time, so little is alive beside da.
     prev = np.arange(counts[0], n) - np.repeat(np.array(counts[:-1], dtype=np.intp),
                                                  counts[1:])
+    dw, du, db = (gru.planes(p.grad) for p in gru.params())
     h_prev = np.zeros((n, hdim))
-    for cell, rows, a, states, g in zip((fwd, bwd), packing.rows, da, cache.states,
-                                        cache.gates):
-        h_prev[counts[0]:] = states[prev]
-        cell.w.grad += a.T @ cache.xs[rows]
-        cell.b.grad[:, 0] += a.sum(axis=0)
-        cell.u.grad[: 2 * hdim] += a[:, : 2 * hdim].T @ h_prev
-        cell.u.grad[2 * hdim:] += a[:, 2 * hdim:].T @ (g[:, :hdim] * h_prev)  # rh
+    for d, rows in enumerate(packing.rows):
+        a, g = da[d], cache.gates[d]
+        h_prev[counts[0]:] = cache.states[d, prev]
+        dw[d] += a.T @ cache.xs[rows]
+        db[d, :, 0] += a.sum(axis=0)
+        du[d, : 2 * hdim] += a[:, : 2 * hdim].T @ h_prev
+        du[d, 2 * hdim:] += a[:, 2 * hdim:].T @ (g[:, :hdim] * h_prev)  # rh
     del h_prev
 
     d_xs = np.empty_like(cache.xs)
-    d_xs[packing.rows[0]] = da[0] @ fwd.w.value
-    d_xs[packing.rows[1]] += da[1] @ bwd.w.value
+    d_xs[packing.rows[0]] = da[0] @ w[0]
+    d_xs[packing.rows[1]] += da[1] @ w[1]
     return d_xs
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Document, SpanPrf, Vocab, bio_decode, span_prf
+from .data import Document, ParseError, SpanPrf, Vocab, _parse_tag, bio_decode, span_prf
 from .hier_model import HierConfig, HierModel
 from .linalg import ContractError, Rng
 from .nn import ParamTensor
@@ -43,14 +43,16 @@ class TrainConfig:
     seed: int = 1
 
     def validate(self) -> None:
-        if not self.lr > 0:
-            raise ContractError(f"TrainConfig.lr must be > 0, got {self.lr!r}")
+        # clip_norm may be inf (no clipping); lr and adam_eps may not.
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ContractError(f"TrainConfig.lr must be finite and > 0, got {self.lr!r}")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ContractError(f"TrainConfig.{name} must lie in [0, 1), got {b!r}")
-        if not self.adam_eps > 0:
-            raise ContractError("TrainConfig.adam_eps must be > 0")
+        if not (self.adam_eps > 0 and math.isfinite(self.adam_eps)):
+            raise ContractError(f"TrainConfig.adam_eps must be finite and > 0, "
+                                f"got {self.adam_eps!r}")
         if not self.clip_norm > 0:
             raise ContractError("TrainConfig.clip_norm must be > 0")
         if self.batch_docs < 1:
@@ -261,7 +263,7 @@ def train(model: HierModel, train_docs: list[Document], dev_docs: list[Document]
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"HRNN"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path: str, model: HierModel, vocab: Vocab,
@@ -288,12 +290,30 @@ def save_checkpoint(path: str, model: HierModel, vocab: Vocab,
             f.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
 
 
+def _is_bio_tag(entry) -> bool:
+    try:
+        _parse_tag(entry, 0)
+    except ParseError:
+        return False
+    return True
+
+
+# Each metadata list: the config field giving its length, and what its
+# entries must be.
+_META_LISTS = (("vocab", "vocab_size", "a string", lambda e: isinstance(e, str)),
+               ("tag_map", "tag_count", "a BIO tag", _is_bio_tag),
+               ("class_map", "class_count", "a nonempty string",
+                lambda e: isinstance(e, str) and e != ""))
+
+
 def load_checkpoint(path: str) -> tuple[HierModel, Vocab, list[str], list[str]]:
     """Inverse of save_checkpoint; bit-exact. Raises CheckpointError naming
     what is wrong (bad magic, version, truncation, trailing bytes, missing
     or misshapen tensors, a config with a missing, unknown or ill-typed
     field, or a vocab, tag map or class map whose length disagrees with the
-    config).
+    config, or that holds a repeated entry or one of the wrong kind: vocab
+    entries are strings, tag map entries BIO tags and class map entries
+    nonempty strings).
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -326,13 +346,18 @@ def load_checkpoint(path: str) -> tuple[HierModel, Vocab, list[str], list[str]]:
     except (TypeError, ContractError) as e:
         raise CheckpointError(f"bad checkpoint config: {e}") from None
     model = HierModel(cfg, rng=None)
-    for key, size_field in (("vocab", "vocab_size"), ("tag_map", "tag_count"),
-                            ("class_map", "class_count")):
+    for key, size_field, kind, valid in _META_LISTS:
         entries, size = meta[key], getattr(cfg, size_field)
         if not isinstance(entries, list) or len(entries) != size:
             found = f"{len(entries)} entries" if isinstance(entries, list) else "no list"
             raise CheckpointError(f"checkpoint {key} has {found}, "
                                   f"config {size_field} is {size}")
+        for i, entry in enumerate(entries):
+            if not valid(entry):
+                raise CheckpointError(f"checkpoint {key} has {entry!r} at index {i}, "
+                                      f"not {kind}")
+        if len(set(entries)) != size:
+            raise CheckpointError(f"checkpoint {key} has repeated entries")
 
     (tensor_count,) = struct.unpack("<I", take(4, "tensor count"))
     tensors: dict[str, np.ndarray] = {}

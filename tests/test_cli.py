@@ -190,6 +190,22 @@ class TestTrain:
                      "--dev", str(tmp_path / "ghost.jsonl"),
                      "--out-model", str(tmp_path / "m.bin")]) == 2
 
+    def test_bad_model_knob_reported_before_corpus_is_read(self, tmp_path, capsys):
+        assert main(["train", "--train", str(tmp_path / "ghost.jsonl"),
+                     "--dev", str(tmp_path / "ghost.jsonl"),
+                     "--out-model", str(tmp_path / "m.bin"), "--set", "embed_dim=0"]) == 2
+        err = capsys.readouterr().err
+        assert "HierConfig.embed_dim" in err and "ghost" not in err
+
+    def test_non_string_tag_is_input_error(self, tmp_path, capsys, arts):
+        corpus = arts["corpus"]
+        bad = tmp_path / "nulltag.jsonl"
+        bad.write_text(json.dumps({"id": "d", "sentences": [
+            {"tokens": ["Jane", "Roe"], "tags": [None, "O"], "class": "FACTS"}]}) + "\n")
+        assert main(["train", "--train", str(bad), "--dev", str(corpus / "dev.jsonl"),
+                     "--out-model", str(tmp_path / "m.bin")]) == 2
+        assert "line 1: field 'tags' has tag None at position 0" in capsys.readouterr().err
+
     def test_malformed_corpus_names_line(self, tmp_path, capsys, arts):
         corpus = arts["corpus"]
         bad = tmp_path / "bad.jsonl"
@@ -333,6 +349,11 @@ class TestExtract:
     @pytest.mark.parametrize("key,fn", [
         ("tag_map", lambda tags: tags[:3]),
         ("vocab", lambda words: words + [f"extra{i}" for i in range(5)]),
+        pytest.param("tag_map", lambda tags: list(range(len(tags))), id="tag_map-ints"),
+        pytest.param("tag_map", lambda tags: ["FOO"] * len(tags), id="tag_map-FOO"),
+        pytest.param("class_map", lambda names: [None] * len(names), id="class_map-nulls"),
+        pytest.param("vocab", lambda words: words[:2] + list(range(len(words) - 2)),
+                     id="vocab-ints"),
     ])
     def test_inconsistent_checkpoint_fails_before_first_record(self, tmp_path, capsys,
                                                                  arts, key, fn):
@@ -370,6 +391,19 @@ class TestExtract:
                      "--out", str(dst), "--pretokenized"]) == 0
         rec = json.loads(read_lines(dst)[0])
         assert len(rec["sentences"]) == 2
+
+    def test_non_string_tag_reported_and_skipped(self, tmp_path, capsys, arts):
+        src = tmp_path / "tok.jsonl"
+        src.write_text(json.dumps({"id": "a", "sentences": [
+            {"tokens": ["Jane", "Roe"], "tags": [1, "O"]}]}) + "\n" + json.dumps(
+            {"id": "b", "sentences": [{"tokens": ["Jane", "Roe"]}]}) + "\n")
+        assert main(["extract", "--model", arts["model"], "--input", str(src),
+                     "--pretokenized"]) == 0
+        out, err = capsys.readouterr()
+        assert [json.loads(s)["id"] for s in out.splitlines() if s] == ["b"]
+        errs = [json.loads(s) for s in err.splitlines() if s]
+        assert len(errs) == 1 and (errs[0]["line"], errs[0]["id"]) == (1, "a")
+        assert "tag 1 at position 0 is not a string" in errs[0]["error"]
 
     def test_missing_input_file(self, tmp_path, arts):
         assert main(["extract", "--model", arts["model"],

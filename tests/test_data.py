@@ -298,6 +298,20 @@ class TestCorpusIO:
         with pytest.raises(ParseError, match="line 1"):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("tag,why", [
+        (1, "tag 1 at position 1 is not a string"),
+        (None, "tag None at position 1 is not a string"),
+        ("FOO", "unknown tag string 'FOO' at position 1"),
+    ])
+    def test_bad_tag_rejected_with_line(self, tmp_path, tag, why):
+        recs = [{"id": "ok", "sentences": [{"tokens": ["a"], "tags": ["O"]}]},
+                {"id": "d", "sentences": [{"tokens": ["a", "b"], "tags": ["O", tag],
+                                           "class": "FACTS"}]}]
+        path = tmp_path / "badtag.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(ParseError, match=f"line 2: field 'tags' has {why}"):
+            load_corpus(str(path))
+
     def test_missing_id_rejected(self, tmp_path):
         path = tmp_path / "noid.jsonl"
         path.write_text('{"sentences":[{"tokens":["x"]}]}\n')

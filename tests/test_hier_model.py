@@ -32,8 +32,8 @@ def toy_batch(seed=11, n_sents=2):
 
 
 class TestParamInventory:
-    # Hand tally for the toy dims: embed 20*4=80; sentence GRU pair
-    # 2*3*(3*4+3*3+3)=144; document GRU pair 2*3*(3*6+3*3+3)=180;
+    # Hand tally for the toy dims: embed 20*4=80; sentence BiGRU
+    # 2*3*(3*4+3*3+3)=144; document BiGRU 2*3*(3*6+3*3+3)=180;
     # emissions 5*12+5=65; classifier 3*6+3=21; CRF adds 25+10.
     def test_toy_counts_frozen(self):
         assert expected_param_count(HierConfig(tagger_mode="softmax", **TOY)) == 490
@@ -45,11 +45,17 @@ class TestParamInventory:
         assert model.param_count() == expected_param_count(model.cfg)
 
     def test_each_gru_cell_is_three_tensors(self):
+        # One direction-stacked W, U and b per BiGRU: 14 tensors in CRF
+        # mode, 11 in softmax mode.
         names = [p.name for p in toy_model("crf").params()]
-        assert len(names) == 20
-        for cell in ("sent_fwd", "sent_bwd", "doc_fwd", "doc_bwd"):
-            assert [n for n in names if n.startswith(cell + ".")] == [
-                f"{cell}.W", f"{cell}.U", f"{cell}.b"]
+        assert len(names) == 14
+        assert len(toy_model("softmax").params()) == 11
+        for gru in ("sent_gru", "doc_gru"):
+            assert [n for n in names if n.startswith(gru + ".")] == [
+                f"{gru}.W", f"{gru}.U", f"{gru}.b"]
+        shapes = {p.name: p.value.shape for p in toy_model("crf").params()}
+        assert shapes["sent_gru.W"] == (18, 4) and shapes["doc_gru.W"] == (18, 6)
+        assert shapes["sent_gru.U"] == (18, 3) and shapes["doc_gru.b"] == (18, 1)
 
     def test_names_unique(self):
         names = [p.name for p in toy_model("crf").params()]
@@ -195,17 +201,21 @@ class TestJointLoss:
 class TestGradients:
     @pytest.mark.parametrize("mode", ["softmax", "crf"])
     def test_full_model_grad_check(self, mode):
+        # sample=108 reaches every coordinate of every tensor at the toy
+        # dims; the largest is doc_gru.W, 18x6.
         rng = Rng(11)
         model = toy_model(mode, seed=11)
         ids, tags, classes = toy_batch(seed=11)
         report = grad_check(lambda: model.loss_document(ids, tags, classes),
-                            model.params(), eps=1e-5, sample=36, rng=rng)
+                            model.params(), eps=1e-5, sample=108, rng=rng)
+        assert all(t.checked == p.value.size for t, p in zip(report.tensors, model.params()))
         assert report.max_rel < 1e-4, f"{mode}: {report.max_rel:.3e}"
 
     def test_ablated_grad_check(self):
         # With context ablated the doc GRU only feeds the classifier, so some
         # of its gate gradients sit near the central-difference noise floor;
         # accept a tiny absolute error where the relative one is undefined.
+        # Twelve draws per tensor: a BiGRU tensor holds both directions.
         model = toy_model("crf", seed=6, ablate_doc_context=True)
         ids, tags, classes = toy_batch(seed=6)
 
@@ -217,7 +227,7 @@ class TestGradients:
         analytic = {p.name: p.grad.copy() for p in model.params()}
         rng, eps = Rng(6), 1e-5
         for p in model.params():
-            for _ in range(6):
+            for _ in range(12):
                 r = rng.below(p.value.shape[0])
                 c = rng.below(p.value.shape[1])
                 old = p.value[r, c]

@@ -1,14 +1,14 @@
 """Layer forward/backward correctness against finite-difference oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hierex.linalg import ContractError, Rng, glorot_init, sigmoid
-from hierex.nn import (ParamTensor, bigru_backward, bigru_forward, embed_backward,
-                       embed_forward, grad_check, gru_cell, pack, param, softmax, softmax_ce,
-                       zero_grads)
+from hierex.nn import (ParamTensor, bigru, bigru_backward, bigru_forward, embed_backward,
+                       embed_forward, grad_check, pack, param, softmax, softmax_ce, zero_grads)
 
 
 def central_diff(loss_fn, flat_value, index, eps):
@@ -88,36 +88,53 @@ class TestGruCell:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_init_is_per_gate_glorot_draws(self, seed):
         # Each gate block is drawn with the Glorot limit of one H-row gate,
-        # in the order W_r, W_z, W_h, U_r, U_z, U_h; biases stay zero.
-        cell = gru_cell("g", 6, 3, Rng(seed))
-        assert [(p.name, p.value.shape) for p in cell.params()] == [
-            ("g.W", (9, 6)), ("g.U", (9, 3)), ("g.b", (9, 1))]
+        # in the order W_r, W_z, W_h, U_r, U_z, U_h, forward direction
+        # first; the two directions' rows are stacked [fwd ; bwd] and the
+        # biases stay zero.
+        gru = bigru("g", 6, 3, Rng(seed))
+        assert [(p.name, p.value.shape) for p in gru.params()] == [
+            ("g.W", (18, 6)), ("g.U", (18, 3)), ("g.b", (18, 1))]
         rng = Rng(seed)
-        w = np.vstack([glorot_init(3, 6, rng) for _ in range(3)])
-        u = np.vstack([glorot_init(3, 3, rng) for _ in range(3)])
-        assert cell.w.value.tobytes() == w.tobytes()
-        assert cell.u.value.tobytes() == u.tobytes()
-        assert np.all(cell.b.value == 0.0)
+        draws = [(np.vstack([glorot_init(3, 6, rng) for _ in range(3)]),
+                  np.vstack([glorot_init(3, 3, rng) for _ in range(3)])) for _ in range(2)]
+        assert gru.w.value.tobytes() == np.vstack([draws[0][0], draws[1][0]]).tobytes()
+        assert gru.u.value.tobytes() == np.vstack([draws[0][1], draws[1][1]]).tobytes()
+        assert np.all(gru.b.value == 0.0)
+
+    def test_planes_are_views_of_both_directions(self):
+        gru = bigru("g", 2, 3, Rng(1))
+        w = gru.planes(gru.w.value)
+        assert w.shape == (2, 9, 2)
+        assert np.array_equal(w[1], gru.w.value[9:])
+        gru.planes(gru.u.grad)[1, 0, 2] = 7.0
+        assert gru.u.grad[9, 2] == 7.0
 
 
 class TestGruStep:
     def test_zero_cell_halves_state(self):
-        # Only W_h is nonzero, so step 1 sets h = tanh(W_h x) / 2; on a zero
-        # input at step 2 both gates are 1/2 and the candidate is 0.
-        cell = gru_cell("g", 2, 2, None)
-        cell.w.value[4:] = [[0.8, 0.0], [0.0, -0.4]]
-        reps, last, _, _ = bigru_forward(cell, gru_cell("z", 2, 2, None),
-                                         np.array([[1.0, 1.0], [0.0, 0.0]]), [2])
+        # Only the forward W_h is nonzero, so step 1 sets h = tanh(W_h x) / 2;
+        # on a zero input at step 2 both gates are 1/2 and the candidate is 0.
+        gru = bigru("g", 2, 2, None)
+        gru.w.value[4:6] = [[0.8, 0.0], [0.0, -0.4]]
+        reps, last, _ = bigru_forward(gru, np.array([[1.0, 1.0], [0.0, 0.0]]), [2])
         assert np.array_equal(reps[0, :2], 0.5 * np.tanh([0.8, -0.4]))
-        assert np.array_equal(last[0], 0.5 * reps[0, :2])
-        assert np.all(reps[:, 2:] == 0.0)
+        assert np.array_equal(last[0, :2], 0.5 * reps[0, :2])
+        assert np.all(reps[:, 2:] == 0.0) and np.all(last[:, 2:] == 0.0)
 
     def test_zero_fixed_point(self):
-        cell = gru_cell("g", 2, 3, None)
-        reps, last_f, last_b, _ = bigru_forward(cell, cell, np.zeros((3, 2)), [1, 1, 1])
+        gru = bigru("g", 2, 3, None)
+        reps, last, _ = bigru_forward(gru, np.zeros((3, 2)), [1, 1, 1])
         assert np.array_equal(reps, np.zeros((3, 6)))
-        assert np.array_equal(last_f, np.zeros((3, 3)))
-        assert np.array_equal(last_b, np.zeros((3, 3)))
+        assert np.array_equal(last, np.zeros((3, 6)))
+
+
+def direction(gru, d):
+    """Direction d of a BiGRU as a one-direction cell for the oracles: its
+    W (3H x I), U (3H x H) and b (3H x 1) are views of plane d of the
+    stacked values and grads, so an oracle accumulates into the BiGRU."""
+    w, u, b = (ParamTensor(p.name, gru.planes(p.value)[d], gru.planes(p.grad)[d])
+               for p in gru.params())
+    return SimpleNamespace(w=w, u=u, b=b, hidden=gru.hidden)
 
 
 def stepwise(cell, xs, lengths, reverse=False):
@@ -274,23 +291,23 @@ class TestGruSequence:
     @pytest.mark.parametrize("seed", range(10))
     def test_bptt_matches_finite_differences(self, seed):
         # A ragged batch with an extra gradient on every sequence's final
-        # state in both directions; every coordinate of both cells and of xs.
+        # states in both directions; every coordinate of the BiGRU and of xs.
         rng = Rng(seed)
-        fwd, bwd = gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng)
+        gru = bigru("g", 2, 3, rng)
         lengths = [1 + rng.below(4) for _ in range(3)]
         n = sum(lengths)
         xs = glorot_init(n, 2, rng)
         proj = glorot_init(n, 6, rng)
-        pf, pb = glorot_init(len(lengths), 3, rng), glorot_init(len(lengths), 3, rng)
+        p_last = glorot_init(len(lengths), 6, rng)
 
         def loss_fn():
-            reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs, lengths)
-            return float(np.sum(reps * proj) + np.sum(last_f * pf) + np.sum(last_b * pb))
+            reps, last, _ = bigru_forward(gru, xs, lengths)
+            return float(np.sum(reps * proj) + np.sum(last * p_last))
 
-        zero_grads(fwd.params() + bwd.params())
-        *_, cache = bigru_forward(fwd, bwd, xs, lengths)
-        d_xs = bigru_backward(fwd, bwd, cache, proj, d_last_fwd=pf, d_last_bwd=pb)
-        for t in fwd.params() + bwd.params():
+        zero_grads(gru.params())
+        *_, cache = bigru_forward(gru, xs, lengths)
+        d_xs = bigru_backward(gru, cache, proj, d_last=p_last)
+        for t in gru.params():
             flat = t.value.reshape(-1)
             aflat = t.grad.reshape(-1)
             for c in range(flat.size):
@@ -304,141 +321,142 @@ class TestGruSequence:
 
     def test_sequence_matches_stepwise(self):
         rng = Rng(12)
-        fwd, bwd = gru_cell("f", 4, 5, rng), gru_cell("b", 4, 5, rng)
+        gru = bigru("g", 4, 5, rng)
         for lengths in RAGGED:
             xs = glorot_init(sum(lengths), 4, rng)
-            reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs, lengths)
-            for half, last, cell, reverse in ((reps[:, :5], last_f, fwd, False),
-                                              (reps[:, 5:], last_b, bwd, True)):
+            reps, last, _ = bigru_forward(gru, xs, lengths)
+            for half, d in ((slice(None, 5), 0), (slice(5, None), 1)):
+                cell, reverse = direction(gru, d), d == 1
                 hs, want_last, _ = oracle_gru_forward(cell, xs, lengths, reverse)
-                assert np.array_equal(half, hs)
-                assert np.array_equal(last, want_last)
-                assert np.max(np.abs(half - stepwise(cell, xs, lengths, reverse))) < 1e-12
+                assert np.array_equal(reps[:, half], hs)
+                assert np.array_equal(last[:, half], want_last)
+                assert np.max(np.abs(reps[:, half] - stepwise(cell, xs, lengths, reverse))) \
+                    < 1e-12
 
     @pytest.mark.parametrize("lengths", RAGGED)
     def test_backward_matches_per_direction_oracle(self, lengths):
-        # d_xs and every cell grad, with d_last on every row, bit for bit.
+        # d_xs and every grad, with d_last on every row, bit for bit.
         rng = Rng(len(lengths))
-        fwd, bwd = gru_cell("f", 3, 4, rng), gru_cell("b", 3, 4, rng)
+        gru = bigru("g", 3, 4, rng)
         n = sum(lengths)
         xs = glorot_init(n, 3, rng)
         proj = glorot_init(n, 8, rng)
-        pf, pb = glorot_init(len(lengths), 4, rng), glorot_init(len(lengths), 4, rng)
-        params = fwd.params() + bwd.params()
+        p_last = glorot_init(len(lengths), 8, rng)
+        params = gru.params()
         zero_grads(params)
-        *_, cache = bigru_forward(fwd, bwd, xs, lengths)
-        d_xs = bigru_backward(fwd, bwd, cache, proj, d_last_fwd=pf, d_last_bwd=pb)
+        *_, cache = bigru_forward(gru, xs, lengths)
+        d_xs = bigru_backward(gru, cache, proj, d_last=p_last)
         got = [t.grad.copy() for t in params]
         zero_grads(params)
+        fwd, bwd = direction(gru, 0), direction(gru, 1)
         _, _, saved = oracle_gru_forward(fwd, xs, lengths)
-        want = oracle_gru_backward(fwd, xs, saved, proj[:, :4], pf)
+        want = oracle_gru_backward(fwd, xs, saved, proj[:, :4], p_last[:, :4])
         _, _, saved = oracle_gru_forward(bwd, xs, lengths, reverse=True)
-        want += oracle_gru_backward(bwd, xs, saved, proj[:, 4:], pb)
+        want += oracle_gru_backward(bwd, xs, saved, proj[:, 4:], p_last[:, 4:])
         assert np.array_equal(d_xs, want)
         for t, g in zip(params, got):
             assert np.array_equal(g, t.grad), t.name
 
     def test_backward_twice_doubles_grads(self):
         rng = Rng(3)
-        fwd, bwd = gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng)
+        gru = bigru("g", 2, 3, rng)
         lengths = [3, 1, 4]
         xs = glorot_init(8, 2, rng)
         d_reps = glorot_init(8, 6, rng)
-        params = fwd.params() + bwd.params()
+        params = gru.params()
         zero_grads(params)
-        *_, cache = bigru_forward(fwd, bwd, xs, lengths)
-        bigru_backward(fwd, bwd, cache, d_reps)
+        *_, cache = bigru_forward(gru, xs, lengths)
+        bigru_backward(gru, cache, d_reps)
         once = [t.grad.copy() for t in params]
-        bigru_backward(fwd, bwd, cache, d_reps)
+        bigru_backward(gru, cache, d_reps)
         for t, g in zip(params, once):
             assert np.array_equal(t.grad, 2.0 * g)
 
     def test_zero_grads_is_exact(self):
-        cell = gru_cell("g", 2, 3, Rng(1))
-        for t in cell.params():
+        gru = bigru("g", 2, 3, Rng(1))
+        for t in gru.params():
             t.grad[...] = 1.5
-        zero_grads(cell.params())
-        assert all(np.all(t.grad == 0.0) for t in cell.params())
+        zero_grads(gru.params())
+        assert all(np.all(t.grad == 0.0) for t in gru.params())
 
 
 class TestBiGru:
     def test_single_step_equals_lasts(self):
         rng = Rng(8)
-        fwd, bwd = gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng)
+        gru = bigru("g", 2, 3, rng)
         xs = glorot_init(1, 2, rng)
-        reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs, [1])
-        assert np.array_equal(reps[0], np.concatenate([last_f[0], last_b[0]]))
+        reps, last, _ = bigru_forward(gru, xs, [1])
+        assert np.array_equal(reps, last)
 
     def test_zero_cells_zero_reps(self):
-        fwd, bwd = gru_cell("f", 2, 3, None), gru_cell("b", 2, 3, None)
-        reps, last_f, last_b, _ = bigru_forward(fwd, bwd, np.ones((4, 2)), [3, 1])
-        assert np.all(reps == 0.0) and np.all(last_f == 0.0) and np.all(last_b == 0.0)
+        gru = bigru("g", 2, 3, None)
+        reps, last, _ = bigru_forward(gru, np.ones((4, 2)), [3, 1])
+        assert np.all(reps == 0.0) and np.all(last == 0.0)
+        assert last.shape == (2, 6)
 
     def test_empty_sequence_rejected(self):
-        rng = Rng(0)
         with pytest.raises(ContractError):
-            bigru_forward(gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng),
-                          np.zeros((0, 2)), [0])
+            bigru_forward(bigru("g", 2, 3, Rng(0)), np.zeros((0, 2)), [0])
 
     def test_lengths_must_cover_rows(self):
-        rng = Rng(0)
         with pytest.raises(ContractError, match="lengths"):
-            bigru_forward(gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng),
-                          np.zeros((4, 2)), [2, 1])
+            bigru_forward(bigru("g", 2, 3, Rng(0)), np.zeros((4, 2)), [2, 1])
 
     def test_palindrome_symmetry_with_tied_cells(self):
         rng = Rng(21)
-        cell = gru_cell("f", 2, 3, rng)
+        gru = bigru("g", 2, 3, rng)
+        for p in gru.params():  # tie the backward direction to the forward one
+            planes = gru.planes(p.value)
+            planes[1] = planes[0]
         half = glorot_init(3, 2, rng)
         xs = np.vstack([half, half[::-1]])  # palindromic length 6
-        reps, _, _, _ = bigru_forward(cell, cell, xs, [6])
+        reps, _, _ = bigru_forward(gru, xs, [6])
         n, h = xs.shape[0], 3
         for t in range(n):
             assert np.array_equal(reps[t, :h], reps[n - 1 - t, h:])
 
     def test_per_sequence_independence(self):
         rng = Rng(31)
-        fwd, bwd = gru_cell("f", 2, 3, rng), gru_cell("b", 2, 3, rng)
+        gru = bigru("g", 2, 3, rng)
         xs1 = glorot_init(4, 2, rng)
         xs2 = glorot_init(6, 2, rng)
-        reps_a, *_ = bigru_forward(fwd, bwd, xs1, [4])
-        bigru_forward(fwd, bwd, xs2, [6])
-        reps_b, *_ = bigru_forward(fwd, bwd, xs1, [4])
+        reps_a, *_ = bigru_forward(gru, xs1, [4])
+        bigru_forward(gru, xs2, [6])
+        reps_b, *_ = bigru_forward(gru, xs1, [4])
         assert np.array_equal(reps_a, reps_b)
         # In one batch with xs2, xs1's rows match its own run to rounding.
-        reps_c, *_ = bigru_forward(fwd, bwd, np.vstack([xs2, xs1]), [6, 4])
+        reps_c, *_ = bigru_forward(gru, np.vstack([xs2, xs1]), [6, 4])
         assert np.max(np.abs(reps_c[6:] - reps_a)) < 1e-12
 
     def test_batch_matches_stepwise(self):
         rng = Rng(40)
-        fwd, bwd = gru_cell("f", 3, 4, rng), gru_cell("b", 3, 4, rng)
+        gru = bigru("g", 3, 4, rng)
         for lengths in RAGGED:
             xs = glorot_init(sum(lengths), 3, rng)
-            reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs, lengths)
-            h_f, h_b = stepwise(fwd, xs, lengths), stepwise(bwd, xs, lengths, reverse=True)
+            reps, last, _ = bigru_forward(gru, xs, lengths)
+            h_f = stepwise(direction(gru, 0), xs, lengths)
+            h_b = stepwise(direction(gru, 1), xs, lengths, reverse=True)
             assert np.max(np.abs(reps - np.hstack([h_f, h_b]))) < 1e-12
             ends = np.cumsum(lengths) - 1
-            assert np.array_equal(last_f, reps[ends, :4])
-            assert np.array_equal(last_b, reps[ends - np.asarray(lengths) + 1, 4:])
+            assert np.array_equal(last[:, :4], reps[ends, :4])
+            assert np.array_equal(last[:, 4:], reps[ends - np.asarray(lengths) + 1, 4:])
 
     def test_gradients_match_finite_differences(self):
         rng = Rng(14)
-        fwd, bwd = gru_cell("f", 2, 2, rng), gru_cell("b", 2, 2, rng)
+        gru = bigru("g", 2, 2, rng)
         lengths = [3, 1, 2]
         xs = glorot_init(6, 2, rng)
         proj = glorot_init(6, 4, rng)
-        pf = glorot_init(3, 2, rng)
-        pb = glorot_init(3, 2, rng)
+        p_last = glorot_init(3, 4, rng)
 
         def loss_fn():
-            reps, last_f, last_b, _ = bigru_forward(fwd, bwd, xs, lengths)
-            return float(np.sum(reps * proj) + np.sum(last_f * pf) + np.sum(last_b * pb))
+            reps, last, _ = bigru_forward(gru, xs, lengths)
+            return float(np.sum(reps * proj) + np.sum(last * p_last))
 
-        params = fwd.params() + bwd.params()
-        zero_grads(params)
-        _, _, _, cache = bigru_forward(fwd, bwd, xs, lengths)
-        d_xs = bigru_backward(fwd, bwd, cache, proj, d_last_fwd=pf, d_last_bwd=pb)
-        for t in params:
+        zero_grads(gru.params())
+        _, _, cache = bigru_forward(gru, xs, lengths)
+        d_xs = bigru_backward(gru, cache, proj, d_last=p_last)
+        for t in gru.params():
             flat = t.value.reshape(-1)
             aflat = t.grad.reshape(-1)
             for c in range(flat.size):
@@ -451,20 +469,20 @@ class TestBiGru:
 
     @pytest.mark.parametrize("lengths", RAGGED)
     def test_grad_check_with_d_last_on_every_row(self, lengths):
+        # sample=96 reaches every coordinate of W (24x3), U (24x4) and b.
         rng = Rng(sum(lengths))
-        fwd, bwd = gru_cell("f", 3, 4, rng), gru_cell("b", 3, 4, rng)
+        gru = bigru("g", 3, 4, rng)
         xs = glorot_init(sum(lengths), 3, rng)
         proj = glorot_init(sum(lengths), 8, rng)
-        pf = glorot_init(len(lengths), 4, rng)
-        pb = glorot_init(len(lengths), 4, rng)
+        p_last = glorot_init(len(lengths), 8, rng)
 
         def loss_fn():
-            reps, last_f, last_b, cache = bigru_forward(fwd, bwd, xs, lengths)
-            bigru_backward(fwd, bwd, cache, proj, d_last_fwd=pf, d_last_bwd=pb)
-            return float(np.sum(reps * proj) + np.sum(last_f * pf) + np.sum(last_b * pb))
+            reps, last, cache = bigru_forward(gru, xs, lengths)
+            bigru_backward(gru, cache, proj, d_last=p_last)
+            return float(np.sum(reps * proj) + np.sum(last * p_last))
 
-        report = grad_check(loss_fn, fwd.params() + bwd.params(), eps=1e-5, sample=36,
-                            rng=Rng(1))
+        report = grad_check(loss_fn, gru.params(), eps=1e-5, sample=96, rng=Rng(1))
+        assert [t.checked for t in report.tensors] == [72, 96, 24]
         assert report.passed(1e-4), report.max_rel
 
 

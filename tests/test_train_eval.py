@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -37,11 +38,14 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         dict(lr=0.0), dict(beta1=1.0), dict(beta2=-0.1), dict(adam_eps=0.0),
         dict(clip_norm=0.0), dict(batch_docs=0), dict(max_epochs=0),
-        dict(patience=0),
+        dict(patience=0), dict(lr=math.inf), dict(adam_eps=math.inf),
     ])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ContractError):
             TrainConfig(**bad).validate()
+
+    def test_infinite_clip_norm_means_no_clipping(self):
+        TrainConfig(clip_norm=math.inf).validate()
 
 
 class TestAdam:
@@ -347,18 +351,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(str(bad))
 
-    def test_version_1_rejected(self, tmp_path):
-        # v1 stored nine tensors per GRU cell; v2 stores W, U and b.
+    def _older_version_rejected(self, tmp_path, version):
         model, _, _, _, _, path = self._saved(tmp_path)
-        assert [p.name for p in model.sent_fwd.params()] == [
-            "sent_fwd.W", "sent_fwd.U", "sent_fwd.b"]
+        assert [p.name for p in model.sent_gru.params()] == [
+            "sent_gru.W", "sent_gru.U", "sent_gru.b"]
         data = bytearray(open(path, "rb").read())
-        assert struct.unpack("<I", data[4:8]) == (2,)
-        data[4:8] = struct.pack("<I", 1)
-        bad = tmp_path / "v1.bin"
+        assert struct.unpack("<I", data[4:8]) == (3,)
+        data[4:8] = struct.pack("<I", version)
+        bad = tmp_path / f"v{version}.bin"
         bad.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        with pytest.raises(CheckpointError,
+                           match=f"unsupported checkpoint version {version}"):
             load_checkpoint(str(bad))
+
+    def test_version_1_rejected(self, tmp_path):
+        # v1 stored nine tensors per GRU cell; v3 stores W, U and b per BiGRU.
+        self._older_version_rejected(tmp_path, 1)
+
+    def test_version_2_rejected(self, tmp_path):
+        # v2 stored W, U and b per direction: sent_fwd, sent_bwd, doc_fwd, doc_bwd.
+        self._older_version_rejected(tmp_path, 2)
 
     def test_truncation(self, tmp_path):
         _, _, _, _, _, path = self._saved(tmp_path)
@@ -441,4 +453,26 @@ class TestCheckpoint:
         bad = str(tmp_path / "mismatch.bin")
         self._mutate_meta(path, bad, lambda m: m.__setitem__(key, cut(m)))
         with pytest.raises(CheckpointError, match=f"checkpoint {key} has .*{size_field}"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("key,entries,message", [
+        ("vocab", lambda v: v[:2] + [7] + v[3:],
+         "checkpoint vocab has 7 at index 2, not a string"),
+        ("vocab", lambda v: v[:2] + [v[3]] + v[3:], "checkpoint vocab has repeated entries"),
+        ("tag_map", lambda t: list(range(len(t))),
+         "checkpoint tag_map has 0 at index 0, not a BIO tag"),
+        ("tag_map", lambda t: ["FOO"] * len(t),
+         "checkpoint tag_map has 'FOO' at index 0, not a BIO tag"),
+        ("tag_map", lambda t: t[:-1] + [t[0]], "checkpoint tag_map has repeated entries"),
+        ("class_map", lambda c: [None] * len(c),
+         "checkpoint class_map has None at index 0, not a nonempty string"),
+        ("class_map", lambda c: [""] + c[1:],
+         "checkpoint class_map has '' at index 0, not a nonempty string"),
+    ], ids=["vocab-int", "vocab-repeat", "tag_map-ints", "tag_map-FOO", "tag_map-repeat",
+            "class_map-nulls", "class_map-empty"])
+    def test_ill_typed_metadata_entry_detected(self, tmp_path, key, entries, message):
+        _, _, _, _, _, path = self._saved(tmp_path)
+        bad = str(tmp_path / "bad-entry.bin")
+        self._mutate_meta(path, bad, lambda m: m.__setitem__(key, entries(m[key])))
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(bad)
