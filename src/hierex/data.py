@@ -166,6 +166,15 @@ def _parse_tag(tag: str, position: int) -> tuple[str, str | None]:
     raise ParseError(f"unknown tag string {tag!r} at position {position}")
 
 
+def is_bio_tag(tag) -> bool:
+    """True for "O" and for "B-<label>" / "I-<label>" strings."""
+    try:
+        _parse_tag(tag, 0)
+    except ParseError:
+        return False
+    return True
+
+
 def bio_decode(tags: list[str], known_labels: set[str] | None = None) -> list[TagSpan]:
     """Decode BIO tags into spans, repairing dangling I- tags.
 
@@ -282,7 +291,9 @@ def build_vocab(docs: list[Document], min_count: int = 1) -> Vocab:
     for doc in docs:
         for sent in doc.sentences:
             counts.update(sent.tokens)
-    kept = sorted((t for t, c in counts.items() if c >= min_count),
+    # A literal "<pad>" or "<unk>" in the corpus maps to the reserved id.
+    kept = sorted((t for t, c in counts.items()
+                   if c >= min_count and t not in (PAD_TOKEN, UNK_TOKEN)),
                   key=lambda t: (-counts[t], t))
     return Vocab([PAD_TOKEN, UNK_TOKEN] + kept)
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Document, ParseError, SpanPrf, Vocab, _parse_tag, bio_decode, span_prf
+from .data import Document, SpanPrf, Vocab, bio_decode, is_bio_tag, span_prf
 from .hier_model import HierConfig, HierModel
 from .linalg import ContractError, Rng
 from .nn import ParamTensor
@@ -290,18 +290,10 @@ def save_checkpoint(path: str, model: HierModel, vocab: Vocab,
             f.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
 
 
-def _is_bio_tag(entry) -> bool:
-    try:
-        _parse_tag(entry, 0)
-    except ParseError:
-        return False
-    return True
-
-
 # Each metadata list: the config field giving its length, and what its
 # entries must be.
 _META_LISTS = (("vocab", "vocab_size", "a string", lambda e: isinstance(e, str)),
-               ("tag_map", "tag_count", "a BIO tag", _is_bio_tag),
+               ("tag_map", "tag_count", "a BIO tag", is_bio_tag),
                ("class_map", "class_count", "a nonempty string",
                 lambda e: isinstance(e, str) and e != ""))
 

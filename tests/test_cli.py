@@ -206,6 +206,23 @@ class TestTrain:
                      "--out-model", str(tmp_path / "m.bin")]) == 2
         assert "line 1: field 'tags' has tag None at position 0" in capsys.readouterr().err
 
+    def test_reserved_tokens_in_corpus_round_trip(self, tmp_path, arts):
+        corpus = arts["corpus"]
+        recs = [json.loads(s) for s in read_lines(corpus / "train.jsonl")]
+        recs[0]["sentences"][0]["tokens"][:2] = ["<unk>", "<pad>"]
+        train = tmp_path / "reserved.jsonl"
+        train.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        model = tmp_path / "m.bin"
+        assert main(["train", "--train", str(train), "--dev", str(corpus / "dev.jsonl"),
+                     "--out-model", str(model), "--set", "max_epochs=1", *SMALL]) == 0
+        _, vocab, _, _ = load_checkpoint(str(model))
+        assert vocab.id_to_token[:2] == ["<pad>", "<unk>"]
+        assert vocab.id_to_token.count("<unk>") == 1 and vocab.id_to_token.count("<pad>") == 1
+        dst = tmp_path / "out.jsonl"
+        assert main(["extract", "--model", str(model), "--input", str(train),
+                     "--out", str(dst), "--pretokenized"]) == 0
+        assert len(read_lines(dst)) == len(recs)
+
     def test_malformed_corpus_names_line(self, tmp_path, capsys, arts):
         corpus = arts["corpus"]
         bad = tmp_path / "bad.jsonl"

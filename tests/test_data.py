@@ -214,6 +214,12 @@ class TestVocabAndMaps:
         assert v.id("a") == 2  # frequency 2 beats b
         assert v.id("b") == 3
 
+    def test_literal_reserved_tokens_take_reserved_ids(self):
+        docs = [_doc("d1", [(["<unk>", "a", "<pad>", "<unk>"], None, None)])]
+        v = build_vocab(docs)
+        assert v.id_to_token == ["<pad>", "<unk>", "a"]
+        assert v.id("<pad>") == 0 and v.id("<unk>") == 1
+
     def test_min_count_threshold(self):
         docs = [_doc("d1", [(["a", "a", "a", "b"], None, None)])]
         v = build_vocab(docs, min_count=2)
